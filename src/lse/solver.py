@@ -8,12 +8,23 @@ downhill direction is (numerically) the ray through the point itself.
 * an exact one-dimensional re-maximization of I_lam(t * u) over t > 0
   (the ray profile is strictly unimodal, so the peak is a scalar root
   find), which removes the unstable ray component, and
-* a preconditioned Armijo descent step, direction z solving
-  (-Lap + V + 1) z = el_gradient(u), which contracts everything else.
+* an Armijo descent step, which contracts everything else.  At lam > 0
+  its direction s solves A s = el_gradient(u), with A the SPD
+  linearization ``_linearized_matrix`` taken at a recent iterate: the LU
+  factors of A are kept across iterations (a chord step; any SPD operator
+  gives a descent direction) and rebuilt on the first iteration of each
+  ``descend`` call, after a backtrack, when the preconditioned residual
+  did not halve over the last step, and when the line search fails with
+  lagged factors (that iteration is then retried with fresh ones).  At
+  lam = 0 the direction is z solving the fixed (-Lap + V + 1) z =
+  el_gradient(u) of ``Preconditioner``, whose weighted norm is the
+  residual at every lam.
 
 Energy is nonincreasing across the accepted Armijo substeps (recorded in
-``DescentResult.energy_steps``); the ray rescale between substeps moves
-back *up* to the ridge by construction.
+``DescentResult.energy_steps``) up to roundoff: once the predicted
+decrease is lost in the roundoff of the energy, the full step is taken if
+it lowers the residual.  The ray rescale between substeps moves back *up*
+to the ridge by construction.
 
 ``mountain_pass`` builds the ray path s -> s * t0 * e through a seed
 profile, starts the descent at the discrete path peak, and guards against
@@ -155,7 +166,6 @@ class SolveReport:
     wall_time: float = 0.0
     t0: float = float("nan")
     restarts: int = 0
-    theta_proxy: float = 0.0
 
 
 @dataclass
@@ -167,7 +177,6 @@ class DescentResult:
     stagnated: bool = False
     collapsed: bool = False
     energy_steps: list[tuple[float, float]] = field(default_factory=list)
-    theta_proxy: float = 0.0
 
 
 @dataclass
@@ -181,17 +190,50 @@ class MountainPassResult:
 
 
 # ---------------------------------------------------------------------------
-# preconditioner
+# sparse factorizations and the preconditioner
 
 _DIRECT_LIMIT = 120_000  # unknowns; beyond this fall back to conjugate gradients
 
+# Minimum degree on the pattern of A^T + A.  Every operator factored here is
+# a structurally symmetric stencil matrix, for which this ordering gives
+# about half the LU fill of SuperLU's default (COLAMD) on 2d grids.
+_ORDERING = "MMD_AT_PLUS_A"
+
+
+class _Factorization:
+    """Owner of one sparse LU factorization; every splu in the solver is here.
+
+    It holds the factors of the fixed operator for ``Preconditioner``, of
+    the lam-step operator in ``descend`` (kept across iterations until a
+    refactor signal fires) or of the Newton Jacobian in ``_newton_polish``.
+    ``factor`` frees the old factors before it builds the new ones, so the
+    two are never alive at once.
+    """
+
+    def __init__(self) -> None:
+        self._lu = None
+
+    def factor(self, a: sp.spmatrix) -> None:
+        self._lu = None
+        self._lu = spla.splu(a.tocsc(), permc_spec=_ORDERING)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(rhs)
+
 
 class Preconditioner:
-    """Solves (-Lap + V + 1) z = rhs; assembled once per (grid, potential).
+    """Solves the fixed operator (-Lap + V + 1) z = rhs; assembled and
+    factored once per (grid, potential).
 
-    Small and planar problems use a sparse LU factorization (one factorize,
-    many cheap solves, bit-reproducible); large 3d problems fall back to
-    diagonally preconditioned conjugate gradients at rtol 1e-10.
+    ``solve`` measures the preconditioned residual of every iterate, and
+    is the step itself at lam = 0.  At lam > 0 the step solves the
+    iterate-dependent operator ``_linearized_matrix`` instead, with
+    factors that ``descend`` keeps apart from these and lags across
+    iterations until a refactor signal fires (see the module docstring).
+    Small and planar problems use a sparse LU factorization (one
+    factorize, many cheap solves, bit-reproducible); large 3d problems
+    fall back to diagonally preconditioned conjugate gradients at rtol
+    1e-10.
     """
 
     def __init__(self, g: Grid, potential) -> None:
@@ -215,7 +257,8 @@ class Preconditioner:
             a = a + term
         a = a + sp.diags(vvals + 1.0)
         if g.npoints <= _DIRECT_LIMIT and g.dim <= 2:
-            self._lu = spla.splu(a.tocsc())
+            self._lu = _Factorization()
+            self._lu.factor(a)
             self._cg = None
         else:
             self._lu = None
@@ -296,11 +339,6 @@ def _h1v_raw(g: Grid, vvals: np.ndarray, u: np.ndarray) -> float:
     comps = _gradient_components(g, u.reshape(g.shape))
     kin = sum(float((c * c).sum()) for c in comps) * vol
     return float(np.sqrt(kin + float((vvals * u * u).sum()) * vol))
-
-
-def _l4_raw(g: Grid, u: np.ndarray) -> float:
-    vol = g.spacing**g.dim
-    return float((vol * float((u**4).sum())) ** 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +514,7 @@ def _newton_polish(
     params: PerturbationParams,
     cfg: MountainPassConfig,
     precond: Preconditioner,
+    lu: _Factorization,
     *,
     deflation=None,
     symmetry: str | None = None,
@@ -483,14 +522,17 @@ def _newton_polish(
     max_steps: int = 40,
 ) -> tuple[np.ndarray, float]:
     """Damped Newton iteration on el_gradient = 0, monotone in the
-    preconditioned residual; returns the improved iterate and residual."""
+    preconditioned residual; returns the improved iterate and residual.
+
+    Each Newton step refactors ``lu`` (the caller's step factors are
+    released by the first one)."""
     for _ in range(max_steps):
         if resid <= cfg.descent_tol:
             break
         if deflation is not None:
             deflation.step_scale(u)  # proximity guard only
-        jac = _newton_matrix(g, vvals, u, params)
-        delta = spla.splu(jac.tocsc()).solve(grad)
+        lu.factor(_newton_matrix(g, vvals, u, params))
+        delta = lu.solve(grad)
         damp = 1.0
         accepted = None
         for _ in range(8):
@@ -528,6 +570,10 @@ def _parity_project(g: Grid, u: np.ndarray, symmetry: str | None) -> np.ndarray:
     raise ValueError(f"symmetry={symmetry!r} (must be None, 'even' or 'odd')")
 
 
+# Predicted decreases below this share of |I_lam| are lost in its roundoff.
+_ROUNDOFF = 64.0 * np.finfo(float).eps
+
+
 def descend(
     g: Grid,
     potential,
@@ -563,6 +609,12 @@ def descend(
     span = [s.values for s in deflation.solutions] if deflation is not None else []
     best_resid = np.inf
     stall = 0
+    # lam-step factors, lagged across iterations (a chord step); ``reuse``
+    # says whether the next step may solve with them instead of refactoring
+    lu = _Factorization()
+    lagging = params.lam > 0.0 and g.dim <= 2
+    reuse = False
+    resid_prev = np.inf
     for _ in range(cfg.max_outer + 1):
         if ray_rescale and float((u * u).sum()) > 0.0:
             if span:
@@ -573,8 +625,6 @@ def descend(
         grad = _gradient_raw(g, vvals, u, params)
         z = precond.solve(grad)
         resid = _h1v_raw(g, vvals, z)
-        if resid > 0.0:
-            result.theta_proxy = max(result.theta_proxy, _l4_raw(g, z) / resid)
         result.residual = resid
         if resid <= cfg.descent_tol:
             result.converged = True
@@ -590,19 +640,26 @@ def descend(
             # deflated/equilibrated phase stagnates near one, finish with
             # damped Newton on the full residual (index-agnostic locally)
             u, resid = _newton_polish(
-                g, vvals, u, grad, resid, params, cfg, precond,
+                g, vvals, u, grad, resid, params, cfg, precond, lu,
                 deflation=deflation, symmetry=symmetry, result=result,
             )
             result.residual = resid
             result.converged = resid <= cfg.descent_tol
             break
-        if params.lam > 0.0:
-            # step through the perturbation-aware linearization; the
-            # fixed operator only measures the residual above
-            a_u = _linearized_matrix(g, vvals, u, params)
-            if g.dim <= 2:
-                step = spla.splu(a_u.tocsc()).solve(grad)
-            else:
+        # a residual that did not halve over the last step refactors
+        reuse = reuse and resid <= 0.5 * resid_prev
+        resid_prev = resid
+        scale = 1.0 if deflation is None else deflation.step_scale(u)
+        e0 = _parts_raw(g, vvals, u, params).total
+        for _ in range(2):
+            if lagging:
+                # step through the perturbation-aware linearization; the
+                # fixed operator only measures the residual above
+                if not reuse:
+                    lu.factor(_linearized_matrix(g, vvals, u, params))
+                step = lu.solve(grad)
+            elif params.lam > 0.0:
+                a_u = _linearized_matrix(g, vvals, u, params)
                 step, info = spla.cg(
                     a_u, grad, x0=step_prev, M=sp.diags(1.0 / a_u.diagonal()),
                     rtol=1e-8, atol=0.0, maxiter=20 * g.points_per_dim,
@@ -612,23 +669,33 @@ def descend(
                         f"step operator solve did not converge (cg info={info})"
                     )
                 step_prev = step
-        else:
-            step = z
-        scale = 1.0 if deflation is None else deflation.step_scale(u)
-        pair = vol * float(grad @ step) * scale
-        e0 = _parts_raw(g, vvals, u, params).total
-        alpha = 1.0
-        accepted = None
-        for _ in range(cfg.max_backtracks + 1):
-            cand = u - (alpha * scale) * step
-            e1 = _parts_raw(g, vvals, cand, params).total
-            if np.isfinite(e1) and e1 <= e0 - cfg.armijo_c1 * alpha * pair:
-                accepted = (cand, e1)
+            else:
+                step = z
+            pair = vol * float(grad @ step) * scale
+            alpha = 1.0
+            accepted = None
+            for _ in range(cfg.max_backtracks + 1):
+                cand = u - (alpha * scale) * step
+                e1 = _parts_raw(g, vvals, cand, params).total
+                if np.isfinite(e1) and (
+                    e1 <= e0 - cfg.armijo_c1 * alpha * pair
+                    # at the roundoff floor the energies cannot rank the
+                    # points: take the full step if it lowers the residual
+                    or alpha == 1.0 and abs(pair) <= _ROUNDOFF * abs(e0)
+                    and _h1v_raw(
+                        g, vvals, precond.solve(_gradient_raw(g, vvals, cand, params))
+                    ) < resid
+                ):
+                    accepted = (cand, e1)
+                    break
+                alpha *= cfg.backtrack_ratio
+            if accepted is not None or not reuse:
                 break
-            alpha *= cfg.backtrack_ratio
+            reuse = False  # the lagged factors failed: refactor at u and retry
         if accepted is None:
             result.stagnated = True
             break
+        reuse = lagging and alpha == 1.0  # a backtrack refactors
         u, e1 = accepted
         u = _parity_project(g, u, symmetry)
         result.energy_steps.append((e0, e1))
@@ -765,7 +832,6 @@ def continue_to_limit(
     report.m2_estimate = mp.path_max
     report.t0 = mp.t0
     report.restarts = mp.restarts
-    report.theta_proxy = mp.descent.theta_proxy
     report.records.append(_stage_record(g, vvals, u, par, mp.descent))
     report.trajectory.append(mp.field)
 
@@ -785,7 +851,6 @@ def continue_to_limit(
                 f"{res.residual:.3e} after {res.iterations} iterations{extra}"
             )
         u = res.field.values
-        report.theta_proxy = max(report.theta_proxy, res.theta_proxy)
         report.records.append(_stage_record(g, vvals, u, par, res))
         report.trajectory.append(res.field)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from lse.energy import Harmonic, PerturbationParams, Shifted, energy_total
 from lse.grid import Field, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p
@@ -205,6 +206,66 @@ class TestDescend:
         assert res.collapsed
 
 
+class TestStepFactorization:
+    """The lam-step factors are kept across descent iterations."""
+
+    @pytest.fixture
+    def setup2d(self, monkeypatch):
+        g = make_grid(2, 4.0, 30)
+        precond = Preconditioner(g, V_HARMONIC)  # its factorization is not counted
+        u0 = gausson_field(g)
+        orderings = []
+        splu = spla.splu
+
+        def counted(*args, **kwargs):
+            orderings.append(kwargs.get("permc_spec"))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        return g, precond, u0, orderings, splu
+
+    def test_lagged_step_reuses_factors(self, setup2d):
+        g, precond, u0, orderings, _ = setup2d
+        params = PerturbationParams(lam=0.1, p=1.5)
+        res = descend(g, V_HARMONIC, u0, params, MountainPassConfig(), precond=precond)
+        assert res.converged
+        assert 1 <= len(orderings) < res.iterations
+        assert set(orderings) == {"MMD_AT_PLUS_A"}
+        # the energy a descent refactoring on every iteration reaches
+        energy = energy_total(g, V_HARMONIC, res.field, params)
+        assert energy == pytest.approx(50.47089351278723, rel=1e-10)
+
+    def test_stale_factors_failing_the_line_search_refactor(self, setup2d, monkeypatch):
+        g, precond, u0, orderings, splu = setup2d
+        stale_solves = []
+
+        class FirstSolveOnly:
+            """Factors whose solves fail every line search once stale."""
+
+            def __init__(self, lu):
+                self.lu, self.used = lu, False
+
+            def solve(self, rhs):
+                if self.used:
+                    stale_solves.append(1)
+                    return np.full_like(rhs, np.nan)
+                self.used = True
+                return self.lu.solve(rhs)
+
+        def useless_when_stale(*args, **kwargs):
+            orderings.append(kwargs.get("permc_spec"))
+            return FirstSolveOnly(splu(*args, **kwargs))
+
+        monkeypatch.setattr(spla, "splu", useless_when_stale)
+        params = PerturbationParams(lam=0.1, p=1.5)
+        res = descend(g, V_HARMONIC, u0, params, MountainPassConfig(), precond=precond)
+        assert stale_solves
+        assert not res.stagnated
+        assert res.converged
+        # every stale step failed, so every iteration took fresh factors
+        assert len(orderings) == res.iterations
+
+
 @pytest.fixture(scope="module")
 def mp_result(grid_mid):
     return mountain_pass(
@@ -253,6 +314,16 @@ class TestMountainPass:
         assert warm.converged
         assert warm.iterations <= cold.descent.iterations + 5
         assert warm.residual <= cfg.descent_tol
+
+    def test_converges_below_the_energy_roundoff_floor(self):
+        # toward residual 1e-10 the predicted decrease falls within a few
+        # ulps of the energy (about 51), where the Armijo test cannot rank
+        # the points; the full step is then taken if it lowers the residual
+        g = make_grid(2, 6.0, 62)
+        cfg = MountainPassConfig(descent_tol=1e-10)
+        res = mountain_pass(g, V_HARMONIC, PerturbationParams(lam=0.1, p=1.5), cfg)
+        assert res.descent.converged
+        assert res.descent.residual <= cfg.descent_tol
 
 
 class TestContinueToLimit:
