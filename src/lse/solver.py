@@ -3,28 +3,29 @@
 The perturbed energy has a strict local minimum at 0, is unbounded below
 along rays, and its nontrivial critical points are saddles whose single
 downhill direction is (numerically) the ray through the point itself.
-``descend`` therefore interleaves two moves:
+``descend`` therefore interleaves two moves while far from a critical
+point:
 
 * an exact one-dimensional re-maximization of I_lam(t * u) over t > 0
   (the ray profile is strictly unimodal, so the peak is a scalar root
   find), which removes the unstable ray component, and
 * an Armijo descent step, which contracts everything else.  At lam > 0
   its direction s solves A s = el_gradient(u), with A the SPD
-  linearization ``_linearized_matrix`` taken at a recent iterate: the LU
-  factors of A are kept across iterations (a chord step; any SPD operator
-  gives a descent direction) and rebuilt on the first iteration of each
-  ``descend`` call, after a backtrack, when the preconditioned residual
-  did not halve over the last step, and when the line search fails with
-  lagged factors (that iteration is then retried with fresh ones).  At
-  lam = 0 the direction is z solving the fixed (-Lap + V + 1) z =
-  el_gradient(u) of ``Preconditioner``, whose weighted norm is the
-  residual at every lam.
+  linearization ``_linearized_matrix`` at the iterate (factored on every
+  step; in 3d solved by conjugate gradients); at lam = 0 it is z solving
+  the fixed (-Lap + V + 1) z = el_gradient(u) of ``Preconditioner``,
+  whose weighted norm is the residual at every lam.
 
-Energy is nonincreasing across the accepted Armijo substeps (recorded in
-``DescentResult.energy_steps``) up to roundoff: once the predicted
-decrease is lost in the roundoff of the energy, the full step is taken if
-it lowers the residual.  The ray rescale between substeps moves back *up*
-to the ridge by construction.
+Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
+``_newton_polish``: damped Newton on the true Jacobian ``_newton_matrix``,
+accepting only steps that lower the residual.  Near a critical point it
+converges in a few steps whatever the Morse index, so it needs neither the
+ray rescale nor deflation; warm-started lam stages typically start there.
+
+Energy is nonincreasing across the accepted Armijo steps (recorded in
+``DescentResult.energy_steps``); the ray rescale between steps moves back
+*up* to the ridge by construction, and the Newton steps are monotone in
+the residual instead.
 
 ``mountain_pass`` builds the ray path s -> s * t0 * e through a seed
 profile, starts the descent at the discrete path peak, and guards against
@@ -177,6 +178,7 @@ class DescentResult:
     stagnated: bool = False
     collapsed: bool = False
     energy_steps: list[tuple[float, float]] = field(default_factory=list)
+    newton_steps: int = 0  # the part of ``iterations`` taken by the Newton finish
 
 
 @dataclass
@@ -203,9 +205,9 @@ _ORDERING = "MMD_AT_PLUS_A"
 class _Factorization:
     """Owner of one sparse LU factorization; every splu in the solver is here.
 
-    It holds the factors of the fixed operator for ``Preconditioner``, of
-    the lam-step operator in ``descend`` (kept across iterations until a
-    refactor signal fires) or of the Newton Jacobian in ``_newton_polish``.
+    It holds the factors of the fixed operator for ``Preconditioner``, or
+    those of the current step operator in ``descend``: the lam-step
+    linearization or, in ``_newton_polish``, the Newton Jacobian.
     ``factor`` frees the old factors before it builds the new ones, so the
     two are never alive at once.
     """
@@ -226,14 +228,14 @@ class Preconditioner:
     factored once per (grid, potential).
 
     ``solve`` measures the preconditioned residual of every iterate, and
-    is the step itself at lam = 0.  At lam > 0 the step solves the
-    iterate-dependent operator ``_linearized_matrix`` instead, with
-    factors that ``descend`` keeps apart from these and lags across
-    iterations until a refactor signal fires (see the module docstring).
-    Small and planar problems use a sparse LU factorization (one
-    factorize, many cheap solves, bit-reproducible); large 3d problems
-    fall back to diagonally preconditioned conjugate gradients at rtol
-    1e-10.
+    is the Armijo step itself at lam = 0.  At lam > 0 that step solves the
+    iterate-dependent operator ``_linearized_matrix`` instead, and the
+    Newton finish solves with the Jacobian ``_newton_matrix``; ``descend``
+    factors both apart from these, at the current iterate (see the module
+    docstring).  Small and planar problems use a sparse LU factorization
+    (one factorize, many cheap solves, bit-reproducible); large 3d
+    problems fall back to diagonally preconditioned conjugate gradients at
+    rtol 1e-10.
     """
 
     def __init__(self, g: Grid, potential) -> None:
@@ -515,40 +517,50 @@ def _newton_polish(
     cfg: MountainPassConfig,
     precond: Preconditioner,
     lu: _Factorization,
+    result: DescentResult,
     *,
     deflation=None,
     symmetry: str | None = None,
-    result: DescentResult | None = None,
-    max_steps: int = 40,
-) -> tuple[np.ndarray, float]:
+    mass_floor: float = 0.0,
+) -> np.ndarray:
     """Damped Newton iteration on el_gradient = 0, monotone in the
-    preconditioned residual; returns the improved iterate and residual.
+    preconditioned residual; returns the final iterate.
 
-    Each Newton step refactors ``lu`` (the caller's step factors are
-    released by the first one)."""
-    for _ in range(max_steps):
-        if resid <= cfg.descent_tol:
-            break
+    Starts from the iterate u with gradient ``grad`` and preconditioned
+    residual ``resid``.  Each step factors the true Jacobian
+    ``_newton_matrix`` into ``lu`` and halves the Newton step (at most
+    seven times) until the residual falls by 1%.  Steps count in
+    ``result.iterations`` (and ``result.newton_steps``) against
+    cfg.max_outer; a mass below ``mass_floor`` sets ``result.collapsed``,
+    and a step that finds no such damping sets ``result.stagnated``.
+    ``result.residual`` and ``result.converged`` describe the final iterate.
+    """
+    vol = g.spacing**g.dim
+    while resid > cfg.descent_tol and result.iterations < cfg.max_outer:
         if deflation is not None:
             deflation.step_scale(u)  # proximity guard only
         lu.factor(_newton_matrix(g, vvals, u, params))
         delta = lu.solve(grad)
         damp = 1.0
-        accepted = None
         for _ in range(8):
             cand = _parity_project(g, u - damp * delta, symmetry)
             gnew = _gradient_raw(g, vvals, cand, params)
             rnew = _h1v_raw(g, vvals, precond.solve(gnew))
             if np.isfinite(rnew) and rnew < 0.99 * resid:
-                accepted = (cand, gnew, rnew)
                 break
             damp *= 0.5
-        if accepted is None:
+        else:
+            result.stagnated = True
             break
-        u, grad, resid = accepted
-        if result is not None:
-            result.iterations += 1
-    return u, resid
+        u, grad, resid = cand, gnew, rnew
+        result.iterations += 1
+        result.newton_steps += 1
+        if mass_floor > 0.0 and vol * float((u * u).sum()) < mass_floor:
+            result.collapsed = True
+            break
+    result.residual = resid
+    result.converged = resid <= cfg.descent_tol and not result.collapsed
+    return u
 
 
 def _parity_project(g: Grid, u: np.ndarray, symmetry: str | None) -> np.ndarray:
@@ -570,8 +582,11 @@ def _parity_project(g: Grid, u: np.ndarray, symmetry: str | None) -> np.ndarray:
     raise ValueError(f"symmetry={symmetry!r} (must be None, 'even' or 'odd')")
 
 
-# Predicted decreases below this share of |I_lam| are lost in its roundoff.
-_ROUNDOFF = 64.0 * np.finfo(float).eps
+# Preconditioned residual at or below which ``descend`` finishes with
+# Newton.  Every threshold from 0.3 to 10 solves the same benchmark
+# configs; from 3 up the factorization counts of the 2d and sweep
+# workloads level off.
+_NEWTON_RESID = 3.0
 
 
 def descend(
@@ -587,17 +602,19 @@ def descend(
     precond: Preconditioner | None = None,
     symmetry: str | None = None,
 ) -> DescentResult:
-    """Preconditioned Armijo descent, optionally ray-stabilized.
+    """Preconditioned Armijo descent, optionally ray-stabilized, finished
+    by damped Newton.
 
     Terminates when the preconditioned residual (weighted Sobolev norm of
     the direction z) drops to cfg.descent_tol, or at cfg.max_outer.  With
     ``ray_rescale`` the iterate is moved to the peak of its own ray before
     every step (or to the nearby in-span stationary point when deflation
-    stores previous solutions).  ``deflation`` may supply a
-    ``step_scale(u_flat)`` factor (see the deflation operator);
-    ``mass_floor`` aborts with the collapsed flag when the iterate's mass
-    integral falls below it; ``symmetry`` pins the first-axis parity
-    sector of the iterates.
+    stores previous solutions).  Once the residual is at most
+    ``_NEWTON_RESID`` the rest of the budget goes to ``_newton_polish``.
+    ``deflation`` may supply a ``step_scale(u_flat)`` factor (see the
+    deflation operator); ``mass_floor`` aborts with the collapsed flag when
+    the iterate's mass integral falls below it; ``symmetry`` pins the
+    first-axis parity sector of the iterates.
     """
     vvals = potential.evaluate(g).values
     if precond is None:
@@ -607,14 +624,7 @@ def descend(
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
     step_prev: np.ndarray | None = None
     span = [s.values for s in deflation.solutions] if deflation is not None else []
-    best_resid = np.inf
-    stall = 0
-    # lam-step factors, lagged across iterations (a chord step); ``reuse``
-    # says whether the next step may solve with them instead of refactoring
     lu = _Factorization()
-    lagging = params.lam > 0.0 and g.dim <= 2
-    reuse = False
-    resid_prev = np.inf
     for _ in range(cfg.max_outer + 1):
         if ray_rescale and float((u * u).sum()) > 0.0:
             if span:
@@ -631,73 +641,46 @@ def descend(
             break
         if result.iterations >= cfg.max_outer:
             break
-        if resid < 0.97 * best_resid:
-            best_resid, stall = resid, 0
-        else:
-            stall += 1
-        if span and stall >= 6 and resid <= 0.1:
-            # higher saddles are not attractors of any descent flow; once the
-            # deflated/equilibrated phase stagnates near one, finish with
-            # damped Newton on the full residual (index-agnostic locally)
-            u, resid = _newton_polish(
-                g, vvals, u, grad, resid, params, cfg, precond, lu,
-                deflation=deflation, symmetry=symmetry, result=result,
+        if resid <= _NEWTON_RESID:
+            # near a critical point Newton on the full residual converges in
+            # a few steps and needs no ray or deflation stabilization
+            u = _newton_polish(
+                g, vvals, u, grad, resid, params, cfg, precond, lu, result,
+                deflation=deflation, symmetry=symmetry, mass_floor=mass_floor,
             )
-            result.residual = resid
-            result.converged = resid <= cfg.descent_tol
             break
-        # a residual that did not halve over the last step refactors
-        reuse = reuse and resid <= 0.5 * resid_prev
-        resid_prev = resid
         scale = 1.0 if deflation is None else deflation.step_scale(u)
         e0 = _parts_raw(g, vvals, u, params).total
-        for _ in range(2):
-            if lagging:
-                # step through the perturbation-aware linearization; the
-                # fixed operator only measures the residual above
-                if not reuse:
-                    lu.factor(_linearized_matrix(g, vvals, u, params))
-                step = lu.solve(grad)
-            elif params.lam > 0.0:
-                a_u = _linearized_matrix(g, vvals, u, params)
-                step, info = spla.cg(
-                    a_u, grad, x0=step_prev, M=sp.diags(1.0 / a_u.diagonal()),
-                    rtol=1e-8, atol=0.0, maxiter=20 * g.points_per_dim,
+        if params.lam > 0.0 and g.dim <= 2:
+            # step through the perturbation-aware linearization; the fixed
+            # operator only measures the residual above
+            lu.factor(_linearized_matrix(g, vvals, u, params))
+            step = lu.solve(grad)
+        elif params.lam > 0.0:
+            a_u = _linearized_matrix(g, vvals, u, params)
+            step, info = spla.cg(
+                a_u, grad, x0=step_prev, M=sp.diags(1.0 / a_u.diagonal()),
+                rtol=1e-8, atol=0.0, maxiter=20 * g.points_per_dim,
+            )
+            if info != 0:
+                raise ConvergenceFailure(
+                    f"step operator solve did not converge (cg info={info})"
                 )
-                if info != 0:
-                    raise ConvergenceFailure(
-                        f"step operator solve did not converge (cg info={info})"
-                    )
-                step_prev = step
-            else:
-                step = z
-            pair = vol * float(grad @ step) * scale
-            alpha = 1.0
-            accepted = None
-            for _ in range(cfg.max_backtracks + 1):
-                cand = u - (alpha * scale) * step
-                e1 = _parts_raw(g, vvals, cand, params).total
-                if np.isfinite(e1) and (
-                    e1 <= e0 - cfg.armijo_c1 * alpha * pair
-                    # at the roundoff floor the energies cannot rank the
-                    # points: take the full step if it lowers the residual
-                    or alpha == 1.0 and abs(pair) <= _ROUNDOFF * abs(e0)
-                    and _h1v_raw(
-                        g, vvals, precond.solve(_gradient_raw(g, vvals, cand, params))
-                    ) < resid
-                ):
-                    accepted = (cand, e1)
-                    break
-                alpha *= cfg.backtrack_ratio
-            if accepted is not None or not reuse:
+            step_prev = step
+        else:
+            step = z
+        pair = vol * float(grad @ step) * scale
+        alpha = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            cand = u - (alpha * scale) * step
+            e1 = _parts_raw(g, vvals, cand, params).total
+            if np.isfinite(e1) and e1 <= e0 - cfg.armijo_c1 * alpha * pair:
                 break
-            reuse = False  # the lagged factors failed: refactor at u and retry
-        if accepted is None:
+            alpha *= cfg.backtrack_ratio
+        else:
             result.stagnated = True
             break
-        reuse = lagging and alpha == 1.0  # a backtrack refactors
-        u, e1 = accepted
-        u = _parity_project(g, u, symmetry)
+        u = _parity_project(g, cand, symmetry)
         result.energy_steps.append((e0, e1))
         result.iterations += 1
         if mass_floor > 0.0 and vol * float((u * u).sum()) < mass_floor:

@@ -29,6 +29,11 @@ def gmid():
     return make_grid(1, 8.0, 254)
 
 
+def _sign_changes(values):
+    trimmed = values[np.abs(values) > 1e-9 * np.abs(values).max()]
+    return int(np.count_nonzero(np.diff(np.sign(trimmed)) != 0))
+
+
 def _unit_direction(g, potential, rng):
     e = random_field(g, rng)
     return Field(grid=g, values=e.values / norm_h1v(g, potential, e))
@@ -164,6 +169,16 @@ class TestFindKSolutions:
                     _h1v_raw(gmid, vv, ui.values + uj.values),
                 )
                 assert d >= 0.1
+
+    def test_harmonic_ladder_in_node_order(self, gmid):
+        sols = find_k_solutions(
+            gmid, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5),
+            MountainPassConfig(), 4,
+        )
+        energies = [e for _, e, _ in sols]
+        assert len(sols) == 4
+        assert all(b > a for a, b in zip(energies, energies[1:]))
+        assert [_sign_changes(u.values) for u, _, _ in sols] == [0, 1, 2, 3]
 
     def test_each_solution_nehari_consistent(self, three, gmid):
         from lse.verify import check_nehari
