@@ -154,12 +154,15 @@ def _require_same_grid(g: Grid, u: Field) -> None:
 def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
     """Edge-difference components of an nd value array (zero exterior)."""
     comps = []
-    pad = [(0, 0)] * g.dim
     for d in range(g.dim):
-        p = list(pad)
-        p[d] = (1, 1)
-        padded = np.pad(nd, p)
-        comps.append(np.diff(padded, axis=d) / g.spacing)
+        lead = (slice(None),) * d
+        c = np.empty(nd.shape[:d] + (nd.shape[d] + 1,) + nd.shape[d + 1:])
+        # as differencing the zero-padded array: 0 - u keeps a +0.0 edge +0.0
+        c[lead + (0,)] = nd[lead + (0,)]
+        np.subtract(nd[lead + (slice(1, None),)], nd[lead + (slice(None, -1),)], out=c[lead + (slice(1, -1),)])
+        np.subtract(0.0, nd[lead + (slice(-1, None),)], out=c[lead + (slice(-1, None),)])
+        c /= g.spacing
+        comps.append(c)
     return comps
 
 

@@ -14,7 +14,9 @@ point:
   linearization ``_linearized_matrix`` at the iterate (factored on every
   step; in 3d solved by conjugate gradients); at lam = 0 it is z solving
   the fixed (-Lap + V + 1) z = el_gradient(u) of ``Preconditioner``,
-  whose weighted norm is the residual at every lam.
+  whose weighted norm is the residual at every lam.  Both operators, and
+  the Newton Jacobian below, are value fills of one cached CSC stencil
+  pattern per grid, ``_stencil_pattern``.
 
 Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
 ``_newton_polish``: damped Newton on the true Jacobian ``_newton_matrix``,
@@ -35,6 +37,7 @@ schedule with warm starts and finishes with a lam = 0 solve.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -224,8 +227,8 @@ class _Factorization:
 
 
 class Preconditioner:
-    """Solves the fixed operator (-Lap + V + 1) z = rhs; assembled and
-    factored once per (grid, potential).
+    """Solves the fixed operator (-Lap + V + 1) z = rhs; assembled on the
+    cached stencil pattern and factored once per (grid, potential).
 
     ``solve`` measures the preconditioned residual of every iterate, and
     is the Armijo step itself at lam = 0.  At lam > 0 that step solves the
@@ -241,23 +244,10 @@ class Preconditioner:
     def __init__(self, g: Grid, potential) -> None:
         self.grid = g
         vvals = potential.evaluate(g).values
-        n, h = g.points_per_dim, g.spacing
-        main = np.full(n, 2.0 / h**2)
-        off = np.full(n - 1, -1.0 / h**2)
-        lap1 = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-        eye = sp.identity(n, format="csr")
-        terms = []
-        for d in range(g.dim):
-            mats = [eye] * g.dim
-            mats[d] = lap1
-            term = mats[0]
-            for m in mats[1:]:
-                term = sp.kron(term, m, format="csr")
-            terms.append(term)
-        a = terms[0]
-        for term in terms[1:]:
-            a = a + term
-        a = a + sp.diags(vvals + 1.0)
+        indptr, indices, diag, _ = _stencil_pattern(g.dim, g.points_per_dim)
+        data = np.full(indices.size, -1.0 / g.spacing**2)
+        data[diag] = g.dim * (2.0 / g.spacing**2) + (vvals + 1.0)
+        a = sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints))
         if g.npoints <= _DIRECT_LIMIT and g.dim <= 2:
             self._lu = _Factorization()
             self._lu.factor(a)
@@ -281,59 +271,66 @@ class Preconditioner:
         return z
 
 
-def _linearized_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> sp.csr_matrix:
+@functools.lru_cache(maxsize=8)  # a solve uses one grid
+def _stencil_pattern(dim: int, n: int) -> tuple:
+    """CSC (indptr, indices, diag, edges) of the (2*dim+1)-point stencil on
+    an n^dim grid: data positions of the diagonal (point order), and per axis
+    d of the entries (a, b), (b, a) of each interior edge a -> b (C order of
+    the edge array).  Shared by every caller, so every array is read-only."""
+    idx = np.arange(n**dim).reshape((n,) * dim)
+    lo = [idx[(slice(None),) * d + (slice(0, n - 1),)].reshape(-1) for d in range(dim)]
+    hi = [idx[(slice(None),) * d + (slice(1, n),)].reshape(-1) for d in range(dim)]
+    rows = np.concatenate([idx.reshape(-1)] + [e for d in range(dim) for e in (lo[d], hi[d])])
+    cols = np.concatenate([idx.reshape(-1)] + [e for d in range(dim) for e in (hi[d], lo[d])])
+    order = np.lexsort((rows, cols))  # by column, then by row
+    pos = np.empty_like(order)  # data position of each (rows, cols) entry
+    pos[order] = np.arange(order.size)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols)))).astype(np.int32)
+    indices = rows[order].astype(np.int32)
+    parts = [block.copy() for block in np.split(pos, np.cumsum([n**dim] + [lo[0].size] * (2 * dim - 1)))]
+    for arr in (indptr, indices, *parts):
+        arr.setflags(write=False)
+    return indptr, indices, parts[0], tuple(zip(parts[1::2], parts[2::2]))
+
+
+def _linearized_matrix(
+    g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams, diag_shift: np.ndarray | None = None
+) -> sp.csc_matrix:
     """Sparse SPD linearization used for the step direction at lam > 0.
 
     This is (-Lap + V + 1) plus the exact second derivative of the
     p-gradient term (a divergence form with per-edge coefficients) and the
     regularized second derivative of the p-mass term.  Without the latter,
     the |u|^(p-1) nonlinearity makes preconditioned descent oscillate
-    around the nearly-sparse tail instead of settling on it.
+    around the nearly-sparse tail instead of settling on it.  Filled into
+    ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.
     """
     lam, p, eps = params.lam, params.p, params.grad_reg_eps
     n, h = g.points_per_dim, g.spacing
-    nd = u.reshape(g.shape)
-    comps = _gradient_components(g, nd)
-    idx = np.arange(g.npoints).reshape(g.shape)
+    indptr, indices, diag_pos, edges = _stencil_pattern(g.dim, n)
+    data = np.empty(indices.size)
     diag = np.zeros(g.shape)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for d, c in enumerate(comps):
+    for d, (c, (lower, upper)) in enumerate(zip(_gradient_components(g, u.reshape(g.shape)), edges)):
         g2 = c * c
         # d/dg [ (g^2 + eps^2)^((p-2)/2) g ] -- always in (0, weight]
-        coeff = (g2 + eps * eps) ** ((p - 2.0) / 2.0) * (
-            1.0 + (p - 2.0) * g2 / (g2 + eps * eps)
-        )
-        coeff = 1.0 + lam * coeff
-        left = np.take(coeff, range(0, n), axis=d)
-        right = np.take(coeff, range(1, n + 1), axis=d)
-        diag += (left + right) / h**2
-        inner = np.take(coeff, range(1, n), axis=d) / h**2
-        a = np.take(idx, range(0, n - 1), axis=d).reshape(-1)
-        b = np.take(idx, range(1, n), axis=d).reshape(-1)
-        rows.extend((a, b))
-        cols.extend((b, a))
-        vals.extend((-inner.reshape(-1), -inner.reshape(-1)))
-    diag = diag.reshape(-1) + vvals + 1.0
-    diag = diag + lam * (p - 1.0) * (u * u + params.grad_reg_eps**2) ** ((p - 2.0) / 2.0)
-    a_mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(g.npoints, g.npoints),
-    ).tocsr()
-    return a_mat + sp.diags(diag)
+        coeff = 1.0 + lam * ((g2 + eps * eps) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * g2 / (g2 + eps * eps)))
+        lead = (slice(None),) * d
+        diag += (coeff[lead + (slice(0, n),)] + coeff[lead + (slice(1, n + 1),)]) / h**2
+        data[lower] = data[upper] = -(coeff[lead + (slice(1, n),)] / h**2).reshape(-1)
+    diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * (u * u + eps**2) ** ((p - 2.0) / 2.0)
+    data[diag_pos] = diag if diag_shift is None else diag - diag_shift
+    return sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints))
 
 
-def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams):
+def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> sp.csc_matrix:
     """True Jacobian of el_gradient at u (sparse, symmetric, indefinite).
 
     Equals the SPD step operator minus the zeroth-order surrogate (the +1)
-    and minus the log-term curvature log u^2 + 2; at grid zeros of u the
-    log curvature is a large positive diagonal, which correctly freezes
-    those entries.
+    and minus the log-term curvature log u^2 + 2, taken off its diagonal
+    before the fill; at grid zeros of u the log curvature is a large
+    positive diagonal, which correctly freezes those entries.
     """
-    base = _linearized_matrix(g, vvals, u, params)
-    return base - sp.diags(3.0 + np.log(u * u + 1e-300))
+    return _linearized_matrix(g, vvals, u, params, diag_shift=3.0 + np.log(u * u + 1e-300))
 
 
 def _h1v_raw(g: Grid, vvals: np.ndarray, u: np.ndarray) -> float:

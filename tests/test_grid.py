@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lse.grid import (
     Field,
+    _gradient_components,
     forward_gradient,
     integrate,
     make_grid,
@@ -164,6 +165,24 @@ class TestForwardGradient:
         # each axis contributes n+1 edges per line, n lines
         for comp in grad.components:
             assert comp.size == (n + 1) * n
+
+
+class TestGradientComponents:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bit_equal_to_the_padded_difference(self, dim):
+        g = make_grid(dim, 2.0, 9)
+        rng = np.random.default_rng(dim)
+        nd = np.where(rng.random(g.shape) < 0.3, 0.0, rng.standard_normal(g.shape))
+        nd[nd == 0.0] = rng.choice([0.0, -0.0], size=int((nd == 0.0).sum()))
+        # the first and last points lie on the first and last slab of every
+        # axis, so both boundary edges see each signed zero
+        nd.flat[0], nd.flat[-1] = -0.0, 0.0
+        for d, comp in enumerate(_gradient_components(g, nd)):
+            pad = [(0, 0)] * dim
+            pad[d] = (1, 1)
+            want = np.diff(np.pad(nd, pad), axis=d) / g.spacing
+            assert comp.shape == want.shape
+            assert comp.tobytes() == want.tobytes()
 
 
 class TestIntegrate:

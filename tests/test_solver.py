@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import lse.solver as solver_mod
-from lse.energy import Harmonic, PerturbationParams, Shifted, el_gradient, energy_total
-from lse.grid import Field, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p
+from lse.energy import Harmonic, PerturbationParams, Shifted, _gradient_raw, el_gradient, energy_total
+from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p
 from lse.multiplicity import DeflationSet, structured_seed
 from lse.solver import (
     CollapseError,
@@ -105,6 +106,153 @@ class TestPreconditioner:
         zf = Field(grid=grid1d, values=z)
         back = neg_laplacian_apply(grid1d, zf).values + (vvals + 1.0) * z
         assert float(np.max(np.abs(back - rhs))) <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
+
+
+def _coo_linearized_matrix(g, vvals, u, params):
+    """The COO assembly of the step operator that the cached stencil
+    pattern replaced, kept as the reference for bit equality."""
+    lam, p, eps = params.lam, params.p, params.grad_reg_eps
+    n, h = g.points_per_dim, g.spacing
+    comps = _gradient_components(g, u.reshape(g.shape))
+    idx = np.arange(g.npoints).reshape(g.shape)
+    diag = np.zeros(g.shape)
+    rows, cols, vals = [], [], []
+    for d, c in enumerate(comps):
+        g2 = c * c
+        coeff = (g2 + eps * eps) ** ((p - 2.0) / 2.0) * (
+            1.0 + (p - 2.0) * g2 / (g2 + eps * eps)
+        )
+        coeff = 1.0 + lam * coeff
+        left = np.take(coeff, range(0, n), axis=d)
+        right = np.take(coeff, range(1, n + 1), axis=d)
+        diag += (left + right) / h**2
+        inner = np.take(coeff, range(1, n), axis=d) / h**2
+        a = np.take(idx, range(0, n - 1), axis=d).reshape(-1)
+        b = np.take(idx, range(1, n), axis=d).reshape(-1)
+        rows.extend((a, b))
+        cols.extend((b, a))
+        vals.extend((-inner.reshape(-1), -inner.reshape(-1)))
+    diag = diag.reshape(-1) + vvals + 1.0
+    diag = diag + lam * (p - 1.0) * (u * u + params.grad_reg_eps**2) ** ((p - 2.0) / 2.0)
+    a_mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(g.npoints, g.npoints),
+    ).tocsr()
+    return a_mat + sp.diags(diag)
+
+
+def _kron_fixed_operator(g, vvals):
+    """The Kronecker-sum assembly of (-Lap + V + 1) that the stencil
+    pattern replaced, kept as the reference for bit equality."""
+    n, h = g.points_per_dim, g.spacing
+    lap1 = sp.diags(
+        [np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)],
+        [-1, 0, 1], format="csr",
+    )
+    eye = sp.identity(n, format="csr")
+    a = None
+    for d in range(g.dim):
+        mats = [eye] * g.dim
+        mats[d] = lap1
+        term = mats[0]
+        for m in mats[1:]:
+            term = sp.kron(term, m, format="csr")
+        a = term if a is None else a + term
+    return a + sp.diags(vvals + 1.0)
+
+
+def _assert_bit_equal(got, want):
+    got, want = got.tocsc(), want.tocsc()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+
+
+STENCIL_GRIDS = [(1, 24), (2, 9), (3, 5)]
+
+
+class TestStepOperators:
+    """The step and Newton operators and the fixed operator, all filled
+    into one cached stencil pattern per grid."""
+
+    @staticmethod
+    def smooth_state(dim, n):
+        # at least 2 and increasing along every axis: u and its edge
+        # differences stay away from zero, where the log and p terms are
+        # not smooth on the scale of a finite difference
+        g = make_grid(dim, 3.0, n)
+        rng = np.random.default_rng(dim)
+        nd = 2.0 + 0.1 * np.indices(g.shape).sum(axis=0) + 0.03 * rng.random(g.shape)
+        return g, V_HARMONIC.evaluate(g).values, nd.reshape(-1)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_newton_matrix_is_the_jacobian(self, dim, n, lam):
+        g, vvals, u = self.smooth_state(dim, n)
+        params = PerturbationParams(lam=lam, p=1.5)
+        v = np.random.default_rng(1).standard_normal(g.npoints)
+        t = 1e-5
+        fd = (_gradient_raw(g, vvals, u + t * v, params) - _gradient_raw(g, vvals, u - t * v, params)) / (2.0 * t)
+        jv = solver_mod._newton_matrix(g, vvals, u, params) @ v
+        assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_linearized_matrix_at_lambda_zero_is_the_fixed_operator(self, dim, n):
+        g, vvals, u = self.smooth_state(dim, n)
+        v = np.random.default_rng(2).standard_normal(g.npoints)
+        got = solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0)) @ v
+        want = neg_laplacian_apply(g, Field(grid=g, values=v)).values + (vvals + 1.0) * v
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * float(np.abs(want).max()))
+
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_pattern_is_the_canonical_symmetric_stencil(self, dim, n):
+        g, vvals, u = self.smooth_state(dim, n)
+        for a in (
+            solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.1)),
+            solver_mod._newton_matrix(g, vvals, u, PerturbationParams(lam=0.1)),
+        ):
+            assert a.format == "csc"
+            assert a.has_canonical_format
+            assert a.nnz == n**dim + 2 * dim * (n - 1) * n ** (dim - 1)
+            assert (a != a.T).nnz == 0
+
+    def test_cached_pattern_is_read_only(self):
+        pattern = solver_mod._stencil_pattern(2, 5)
+        assert solver_mod._stencil_pattern(2, 5) is pattern
+        indptr, indices, diag, edges = pattern
+        for arr in [indptr, indices, diag] + [positions for edge in edges for positions in edge]:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_assembly_is_bit_equal_to_the_coo_reference(self, dim, n, lam):
+        g = make_grid(dim, 3.0, n)
+        vvals = V_HARMONIC.evaluate(g).values
+        u = 3.0 * np.random.default_rng(dim).standard_normal(g.npoints)
+        u[::5] = 0.0  # log-term curvature at its 1e-300 floor
+        params = PerturbationParams(lam=lam, p=1.5)
+        want = _coo_linearized_matrix(g, vvals, u, params)
+        _assert_bit_equal(solver_mod._linearized_matrix(g, vvals, u, params), want)
+        _assert_bit_equal(
+            solver_mod._newton_matrix(g, vvals, u, params),
+            want - sp.diags(3.0 + np.log(u * u + 1e-300)),
+        )
+
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_fixed_operator_is_bit_equal_to_the_kron_reference(self, dim, n, monkeypatch):
+        g = make_grid(dim, 3.0, n)
+        factored = []
+        factor = solver_mod._Factorization.factor
+
+        def recorded(self, a):
+            factored.append(a)
+            factor(self, a)
+
+        monkeypatch.setattr(solver_mod._Factorization, "factor", recorded)
+        pre = Preconditioner(g, V_SHIFTED)
+        got = factored[0] if factored else pre._op  # 3d keeps the operator for CG
+        _assert_bit_equal(got, _kron_fixed_operator(g, V_SHIFTED.evaluate(g).values))
 
 
 class TestSeedAndGeometry:
