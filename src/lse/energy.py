@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .grid import Field, Grid, _gradient_components, _require_same_grid, neg_laplacian_apply
+from .grid import Field, Grid, _gradient_components, _neg_div, _require_same_grid
 
 __all__ = [
     "Harmonic",
@@ -148,21 +148,23 @@ def validate_potential(g: Grid, potential) -> float:
 # perturbed energy
 
 
+# eps of the edge weight (|grad u|^2 + eps^2)^((p-2)/2); the step operator
+# in lse.solver uses the same value, so its linearization is exact.
+_GRAD_REG_EPS = 1e-10
+
+
 @dataclass(frozen=True)
 class PerturbationParams:
     """Perturbation strength lam in {0} U (0, 1], exponent p in (1, 2)."""
 
     lam: float
     p: float = 1.5
-    grad_reg_eps: float = 1e-10
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"perturbation strength out of range: lam={self.lam}")
         if not 1.0 < self.p < 2.0:
             raise ValueError(f"exponent out of range: p={self.p} (must satisfy 1 < p < 2)")
-        if not self.grad_reg_eps > 0.0:
-            raise ValueError(f"regularization must be positive: grad_reg_eps={self.grad_reg_eps}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ class EnergyParts:
         )
 
 
-def _edge_weights(comp: np.ndarray, p: float, eps: float) -> np.ndarray:
-    return (comp * comp + eps * eps) ** ((p - 2.0) / 2.0)
+def _edge_weights(comp: np.ndarray, p: float) -> np.ndarray:
+    return (comp * comp + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
 
 
 def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> EnergyParts:
@@ -207,9 +209,8 @@ def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationPa
     mass = float((u * u).sum()) * vol
     log_int = float(log_density(u).sum()) * vol
     if params.lam > 0.0:
-        p, eps = params.p, params.grad_reg_eps
-        p_grad = sum(float((_edge_weights(c, p, eps) * c * c).sum()) for c in comps) * vol
-        p_mass = float((np.abs(u) ** p).sum()) * vol
+        p_grad = sum(float((_edge_weights(c, params.p) * c * c).sum()) for c in comps) * vol
+        p_mass = float((np.abs(u) ** params.p).sum()) * vol
     else:
         p_grad = p_mass = 0.0
     return EnergyParts(
@@ -235,13 +236,6 @@ def energy_total(g: Grid, potential, u: Field, params: PerturbationParams) -> fl
     return energy_parts(g, potential, u, params).total
 
 
-def _neg_div(g: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(g.shape)
-    for d, f in enumerate(fluxes):
-        out -= np.diff(f, axis=d) / g.spacing
-    return out
-
-
 def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
     """el_gradient on raw flat arrays (no Field validation); solver hot path."""
     nd = u.reshape(g.shape)
@@ -249,9 +243,8 @@ def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: Perturbatio
     lap = _neg_div(g, comps).reshape(-1)
     core = lap + vvals * u - np.asarray(log_nonlin(u))
     if params.lam > 0.0:
-        p, eps = params.p, params.grad_reg_eps
-        fluxes = [_edge_weights(c, p, eps) * c for c in comps]
-        p_part = _neg_div(g, fluxes).reshape(-1) + np.sign(u) * np.abs(u) ** (p - 1.0)
+        fluxes = [_edge_weights(c, params.p) * c for c in comps]
+        p_part = _neg_div(g, fluxes).reshape(-1) + np.sign(u) * np.abs(u) ** (params.p - 1.0)
         core = core + params.lam * p_part
     return core
 
@@ -268,8 +261,6 @@ def el_gradient(g: Grid, potential, u: Field, params: PerturbationParams) -> Fie
 
 
 def residual_original(g: Grid, potential, u: Field) -> Field:
-    """Pointwise residual -Lap u + V u - u log u^2 of the unperturbed equation."""
-    _require_same_grid(g, u)
-    vvals = potential.evaluate(g).values
-    lap = neg_laplacian_apply(g, u).values
-    return Field(grid=g, values=lap + vvals * u.values - np.asarray(log_nonlin(u.values)))
+    """Pointwise residual -Lap u + V u - u log u^2 of the unperturbed equation,
+    which is el_gradient at lam = 0."""
+    return el_gradient(g, potential, u, PerturbationParams(lam=0.0))

@@ -12,13 +12,17 @@ Differential operators follow a summation-by-parts pairing:
 * ``forward_gradient`` returns, per axis, the ``n + 1`` forward-difference
   edge values of each grid line, *including* the two boundary-adjacent
   edges (difference against the zero exterior).
-* ``neg_laplacian_apply`` is the standard ``2*dim + 1`` point stencil.
+* ``neg_laplacian_apply`` is the negative divergence of that gradient,
+  which is the standard ``2*dim + 1`` point stencil.
 
 With both boundary edges included the discrete identity
 
     integrate(neg_laplacian_apply(u) * v) == h^dim * sum(grad u . grad v)
 
-holds to machine precision, which the energy routines rely on.
+holds to machine precision, which the energy routines rely on.  Each of
+these quantities has one raw-array kernel here (``_gradient_components``,
+``_neg_div``, ``_grad_sq``, ``_h1v_raw``) that the Field-validated public
+functions and the solver's hot path share.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "EdgeGradient",
     "make_grid",
     "forward_gradient",
     "neg_laplacian_apply",
@@ -111,19 +114,6 @@ class Field:
         return self.values.reshape(self.grid.shape)
 
 
-@dataclass(frozen=True)
-class EdgeGradient:
-    """Forward-difference gradient; component d lives on the axis-d edges.
-
-    Component d has shape equal to the grid shape except axis d, which has
-    ``points_per_dim + 1`` entries (one per edge of each grid line,
-    boundary edges included).
-    """
-
-    grid: Grid
-    components: tuple[np.ndarray, ...]
-
-
 def make_grid(dim: int, half_width: float, points_per_dim: int) -> Grid:
     """Build a validated grid.
 
@@ -166,29 +156,29 @@ def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def forward_gradient(g: Grid, u: Field) -> EdgeGradient:
-    """Forward-difference gradient of u, boundary edges included."""
+def forward_gradient(g: Grid, u: Field) -> tuple[np.ndarray, ...]:
+    """Forward-difference gradient of u, boundary edges included.
+
+    Component d lives on the axis-d edges: its shape is the grid shape
+    except axis d, which has ``points_per_dim + 1`` entries (one per edge
+    of each grid line).
+    """
     _require_same_grid(g, u)
-    return EdgeGradient(grid=g, components=tuple(_gradient_components(g, u.nd())))
+    return tuple(_gradient_components(g, u.nd()))
+
+
+def _neg_div(g: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
+    """Negative divergence of per-axis edge fluxes, back on the points."""
+    out = np.zeros(g.shape)
+    for d, f in enumerate(fluxes):
+        out -= np.diff(f, axis=d) / g.spacing
+    return out
 
 
 def neg_laplacian_apply(g: Grid, u: Field) -> Field:
     """Apply the (2*dim+1)-point negative Laplacian with zero Dirichlet data."""
     _require_same_grid(g, u)
-    nd = u.nd()
-    out = np.zeros_like(nd)
-    inv_h2 = 1.0 / g.spacing**2
-    n = g.points_per_dim
-    for d in range(g.dim):
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[d] = slice(0, n - 1)
-        hi[d] = slice(1, n)
-        acc = 2.0 * nd.copy()
-        acc[tuple(lo)] -= nd[tuple(hi)]
-        acc[tuple(hi)] -= nd[tuple(lo)]
-        out += acc * inv_h2
-    return Field(grid=g, values=out.reshape(-1))
+    return Field(grid=g, values=_neg_div(g, _gradient_components(g, u.nd())).reshape(-1))
 
 
 def integrate(g: Grid, u: Field) -> float:
@@ -197,10 +187,16 @@ def integrate(g: Grid, u: Field) -> float:
     return float(g.spacing**g.dim * u.values.sum())
 
 
-def _edge_cell_volume(g: Grid) -> float:
-    # Each edge value carries the same h^dim weight as a grid point; the
-    # extra edge per line is the boundary-adjacent one.
-    return g.spacing**g.dim
+def _grad_sq(g: Grid, u: np.ndarray) -> float:
+    """sum |grad u|^2 h^dim of a flat value array; each edge carries the
+    same h^dim weight as a grid point."""
+    comps = _gradient_components(g, u.reshape(g.shape))
+    return sum(float((c * c).sum()) for c in comps) * g.spacing**g.dim
+
+
+def _h1v_raw(g: Grid, vvals: np.ndarray, u: np.ndarray) -> float:
+    """norm_h1v on raw flat arrays (no Field validation)."""
+    return float(np.sqrt(_grad_sq(g, u) + float((vvals * u * u).sum()) * g.spacing**g.dim))
 
 
 def norm_h1v(g: Grid, potential, u: Field) -> float:
@@ -210,11 +206,7 @@ def norm_h1v(g: Grid, potential, u: Field) -> float:
     (see the potential classes in :mod:`lse.energy`).
     """
     _require_same_grid(g, u)
-    vvals = potential.evaluate(g).values
-    w = _edge_cell_volume(g)
-    kinetic = sum(float((c**2).sum()) for c in _gradient_components(g, u.nd())) * w
-    weighted = float((vvals * u.values**2).sum()) * g.spacing**g.dim
-    return float(np.sqrt(kinetic + weighted))
+    return _h1v_raw(g, potential.evaluate(g).values, u.values)
 
 
 def norm_w1p(g: Grid, u: Field, p: float) -> float:
@@ -222,7 +214,7 @@ def norm_w1p(g: Grid, u: Field, p: float) -> float:
     _require_same_grid(g, u)
     if not 1.0 < p < 2.0:
         raise ValueError(f"exponent out of range: p={p} (must satisfy 1 < p < 2)")
-    w = _edge_cell_volume(g)
-    grad_part = sum(float((np.abs(c) ** p).sum()) for c in _gradient_components(g, u.nd())) * w
-    mass_part = float((np.abs(u.values) ** p).sum()) * g.spacing**g.dim
+    vol = g.spacing**g.dim
+    grad_part = sum(float((np.abs(c) ** p).sum()) for c in _gradient_components(g, u.nd())) * vol
+    mass_part = float((np.abs(u.values) ** p).sum()) * vol
     return float((grad_part + mass_part) ** (1.0 / p))

@@ -131,8 +131,12 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
-def _check_potential_descriptor(desc: str) -> None:
-    """Validate descriptor grammar without touching the filesystem."""
+def build_potential(desc: str):
+    """Parse a potential descriptor and instantiate the potential it names.
+
+    Raises ConfigError on a malformed descriptor.  Touches no file: a
+    tabulated potential reads its field file when first evaluated.
+    """
     head, _, rest = desc.partition(":")
     if head in ("harmonic", "quartic"):
         if not rest:
@@ -140,37 +144,23 @@ def _check_potential_descriptor(desc: str) -> None:
         coeff = _parse_float("potential", rest)
         if coeff <= 0.0:
             raise ConfigError(f"key 'potential': {head} coefficient must be positive, got {coeff}")
-    elif head == "shifted":
+        return Harmonic(coeff) if head == "harmonic" else Quartic(coeff)
+    if head == "shifted":
         base, sep, shift = rest.rpartition(":")
         if not sep or not base:
             raise ConfigError(
                 "key 'potential': shifted form is shifted:<base>:<offset>, e.g. shifted:harmonic:2.0:+1.0"
             )
-        _parse_float("potential", shift)
-        _check_potential_descriptor(base)
-    elif head == "tabulated":
+        offset = _parse_float("potential", shift)
+        return Shifted(build_potential(base), offset)
+    if head == "tabulated":
         if not rest:
             raise ConfigError("key 'potential': tabulated form is tabulated:<field-file>")
-    else:
-        raise ConfigError(
-            f"key 'potential': unknown family {head!r}; "
-            "expected harmonic:<a>, quartic:<c>, shifted:<base>:<offset>, or tabulated:<path>"
-        )
-
-
-def build_potential(desc: str):
-    """Instantiate the potential named by a validated descriptor."""
-    head, _, rest = desc.partition(":")
-    if head == "harmonic":
-        return Harmonic(float(rest))
-    if head == "quartic":
-        return Quartic(float(rest))
-    if head == "shifted":
-        base, _, shift = rest.rpartition(":")
-        return Shifted(build_potential(base), float(shift))
-    if head == "tabulated":
         return Tabulated(path=rest)
-    raise ConfigError(f"key 'potential': unknown family {head!r}")
+    raise ConfigError(
+        f"key 'potential': unknown family {head!r}; "
+        "expected harmonic:<a>, quartic:<c>, shifted:<base>:<offset>, or tabulated:<path>"
+    )
 
 
 def parse_config(text: str) -> RunSpec:
@@ -203,7 +193,7 @@ def parse_config(text: str) -> RunSpec:
     if half_width <= 0.0:
         raise ConfigError(f"key 'half_width': must be positive, got {half_width}")
     points = _parse_int("points", values["points"], minimum=3)
-    _check_potential_descriptor(values["potential"])
+    build_potential(values["potential"])
     p = _parse_float("p", values["p"])
     if not 1.0 < p < 2.0:
         raise ConfigError(f"key 'p': must lie in the open interval (1, 2), got {p}")

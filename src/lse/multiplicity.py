@@ -3,10 +3,11 @@
 Distinct solutions are obtained by rerunning the continuation from seeds
 with increasing oscillation (Hermite-function profiles) while *deflating*
 the descent direction against everything already found: the step is
-multiplied by prod_i (dist(u, u_i)^(-power) + shift), which blows up near
-stored solutions and tends to ``shift`` far away, pushing iterates into
-fresh basins.  Both u_i and -u_i are stored, since the energy is even and
-sign flips are not new solutions.
+multiplied by prod_i (dist(u, u_i)^(-2) + 1), which blows up near stored
+solutions and tends to 1 far away, pushing iterates into fresh basins.
+Both u_i and -u_i are stored, since the energy is even and sign flips are
+not new solutions.  Solutions closer than ``_SEPARATION`` in the weighted
+Sobolev norm count as one.
 
 Finding k distinct fields this way is evidence for multiplicity, not a
 proof; the deflation operator is a computational surrogate for a
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import hermite as herm
 
-from .grid import Field, Grid
+from .grid import Field, Grid, _h1v_raw
 from .solver import (
     CollapseError,
     ContinuationSchedule,
@@ -30,7 +31,6 @@ from .solver import (
     MountainPassConfig,
     Preconditioner,
     SolveReport,
-    _h1v_raw,
     continue_to_limit,
 )
 from .energy import PerturbationParams
@@ -38,12 +38,18 @@ from .energy import PerturbationParams
 __all__ = [
     "ProximityError",
     "DeflationSet",
-    "deflate_direction",
     "structured_seed",
     "find_k_solutions",
 ]
 
 log = logging.getLogger(__name__)
+
+# Deflation factor dist^(-_DEFLATION_POWER) + _DEFLATION_SHIFT per stored
+# solution, and the weighted-norm distance below which two solutions are the
+# same (an iterate within half of it of a stored one is rejected).
+_DEFLATION_POWER = 2.0
+_DEFLATION_SHIFT = 1.0
+_SEPARATION = 0.1
 
 
 class ProximityError(RuntimeError):
@@ -54,24 +60,17 @@ class ProximityError(RuntimeError):
 class DeflationSet:
     """Stored solutions plus the deflation factor they induce.
 
-    The scaling applied to a descent direction at iterate u is
-    prod over stored s of (||u - s||_{H1_V}^(-power) + shift); an empty
-    set scales by exactly 1.  The grid and potential are carried so the
-    weighted norm is computable without extra context.
+    The scaling applied to a descent direction at iterate u is prod over
+    stored s of (||u - s||_{H1_V}^(-2) + 1); an empty set scales by exactly
+    1.  The grid and potential are carried so the weighted norm is
+    computable without extra context.
     """
 
     grid: Grid
     potential: object
     solutions: list[Field] = field(default_factory=list)
-    power: float = 2.0
-    shift: float = 1.0
-    separation: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.separation > 0.0:
-            raise ValueError(f"separation={self.separation} must be positive")
-        if self.power <= 0.0:
-            raise ValueError(f"power={self.power} must be positive")
         vv = self.potential.evaluate(self.grid).values
         for s in self.solutions:
             if s.grid != self.grid:
@@ -79,42 +78,30 @@ class DeflationSet:
         for i, a in enumerate(self.solutions):
             for b in self.solutions[i + 1 :]:
                 d = _h1v_raw(self.grid, vv, a.values - b.values)
-                if d < self.separation:
-                    raise ValueError(
-                        f"stored solutions {d:.3e} apart, below separation "
-                        f"{self.separation:g}"
-                    )
+                if d < _SEPARATION:
+                    raise ValueError(f"stored solutions {d:.3e} apart, below separation {_SEPARATION:g}")
         self._vvals = vv
 
     def step_scale(self, u_flat: np.ndarray) -> float:
         """Deflation factor at the iterate; raises ProximityError inside
-        the separation/2 guard band of any stored solution."""
+        the _SEPARATION/2 guard band of any stored solution."""
         factor = 1.0
         for s in self.solutions:
             d = _h1v_raw(self.grid, self._vvals, u_flat - s.values)
-            if d < 0.5 * self.separation:
+            if d < 0.5 * _SEPARATION:
                 raise ProximityError(
-                    f"iterate within {d:.3e} of a deflated solution "
-                    f"(guard {0.5 * self.separation:g})"
+                    f"iterate within {d:.3e} of a deflated solution (guard {0.5 * _SEPARATION:g})"
                 )
-            factor *= d ** (-self.power) + self.shift
+            factor *= d ** (-_DEFLATION_POWER) + _DEFLATION_SHIFT
         return factor
 
 
-def deflate_direction(z: Field, u: Field, ds: DeflationSet) -> Field:
-    """Scale the descent direction z at iterate u by the deflation factor."""
-    if z.grid != ds.grid or u.grid != ds.grid:
-        raise ValueError("direction/iterate grid does not match the deflation set")
-    return Field(grid=z.grid, values=z.values * ds.step_scale(u.values))
-
-
-def structured_seed(g: Grid, j: int, potential=None) -> Field:
+def structured_seed(g: Grid, j: int, potential) -> Field:
     """j-th seed profile: Hermite polynomial of degree j-1 along the first
     axis times a Gaussian envelope, so the seed has j-1 sign changes.
 
-    Normalized to unit weighted-Sobolev norm when a potential is given,
-    else to the unweighted H^1 norm (unit zeroth-order weight).  Raises
-    for j >= n/2, where the oscillations are no longer resolved.
+    Normalized to unit weighted-Sobolev norm.  Raises for j >= n/2, where
+    the oscillations are no longer resolved.
     """
     if j < 1:
         raise ValueError(f"seed index j={j} must be at least 1")
@@ -127,11 +114,7 @@ def structured_seed(g: Grid, j: int, potential=None) -> Field:
     coeffs = np.zeros(j)
     coeffs[j - 1] = 1.0
     vals = (herm.hermval(x1, coeffs) * np.exp(-g.radius_squared())).reshape(-1)
-    if potential is None:
-        vv = np.ones(g.npoints)
-    else:
-        vv = potential.evaluate(g).values
-    return Field(grid=g, values=vals / _h1v_raw(g, vv, vals))
+    return Field(grid=g, values=vals / _h1v_raw(g, potential.evaluate(g).values, vals))
 
 
 def find_k_solutions(
@@ -141,17 +124,13 @@ def find_k_solutions(
     params: PerturbationParams,
     cfg: MountainPassConfig,
     k: int,
-    *,
-    separation: float = 0.1,
-    power: float = 2.0,
-    shift: float = 1.0,
 ) -> list[tuple[Field, float, SolveReport]]:
     """Collect up to k distinct solutions of the lam -> 0 limit problem.
 
     Seeds j = 1, 2, ... are tried in order (up to 3k attempts).  Each
     attempt deflates against the lam-matched continuation trajectories of
     everything accepted so far, so stage i of a new run avoids stage i of
-    the old ones.  Candidates closer than ``separation`` to +-(an accepted
+    the old ones.  Candidates closer than ``_SEPARATION`` to +-(an accepted
     solution) are rejected as duplicates.  Returns the accepted list
     sorted by energy; a shortfall is logged, not raised.
     """
@@ -173,10 +152,7 @@ def find_k_solutions(
             traj = rep.trajectory[min(i, len(rep.trajectory) - 1)]
             sols.append(traj)
             sols.append(Field(grid=g, values=-traj.values))
-        return DeflationSet(
-            grid=g, potential=potential, solutions=sols,
-            power=power, shift=shift, separation=separation,
-        )
+        return DeflationSet(grid=g, potential=potential, solutions=sols)
 
     for attempt in range(1, 3 * k + 1):
         if len(accepted) >= k:
@@ -204,7 +180,7 @@ def find_k_solutions(
                 _h1v_raw(g, vv, u.values - prev.values),
                 _h1v_raw(g, vv, u.values + prev.values),
             )
-            if d < separation:
+            if d < _SEPARATION:
                 dup = True
                 log.info("seed %d converged to a known solution (distance %.3e)", attempt, d)
                 break

@@ -47,12 +47,13 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from .energy import (
+    _GRAD_REG_EPS,
     PerturbationParams,
     _gradient_raw,
     _parts_raw,
     validate_potential,
 )
-from .grid import Field, Grid, _gradient_components, norm_w1p
+from .grid import Field, Grid, _gradient_components, _h1v_raw, norm_w1p
 
 __all__ = [
     "MountainPassConfig",
@@ -91,27 +92,31 @@ class ConvergenceFailure(SolverError):
     """Residual tolerance not reached within the iteration budget."""
 
 
+# Segments of the discrete ray path that ``mountain_pass`` starts from.
+_PATH_SEGMENTS = 32
+# Armijo sufficient-decrease constant, step ratio per backtrack, and the
+# backtracks after which ``descend`` reports a stagnated line search.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_RATIO = 0.5
+_MAX_BACKTRACKS = 40
+# Newton steps of ``_subspace_local_max`` per outer iteration.
+_SUBSPACE_MAX_INNER = 10
+
+
 @dataclass(frozen=True)
 class MountainPassConfig:
-    path_segments: int = 32
+    """Stopping rule of every descent: the preconditioned residual at which
+    it has converged and its iteration budget, Newton steps included.  The
+    path and line-search settings are the module constants above."""
+
     descent_tol: float = 1e-6
     max_outer: int = 500
-    armijo_c1: float = 1e-4
-    backtrack_ratio: float = 0.5
-    max_backtracks: int = 40
-    seed_profile: Field | None = None
 
     def __post_init__(self) -> None:
-        if self.path_segments < 8:
-            raise ValueError(f"path_segments={self.path_segments} (need at least 8)")
         if not self.descent_tol > 0.0:
             raise ValueError(f"descent_tol={self.descent_tol} must be positive")
         if self.max_outer < 1:
             raise ValueError(f"max_outer={self.max_outer} must be at least 1")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError(f"armijo_c1={self.armijo_c1} out of (0, 1)")
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError(f"backtrack_ratio={self.backtrack_ratio} out of (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -165,10 +170,8 @@ class SolveReport:
     trajectory: list[Field] = field(default_factory=list)
     nehari_margin: float = float("nan")
     energy_mass_defect: float = float("nan")
-    linf_final: float = float("nan")
     m2_estimate: float = float("nan")
     wall_time: float = 0.0
-    t0: float = float("nan")
     restarts: int = 0
 
 
@@ -189,7 +192,6 @@ class MountainPassResult:
     field: Field
     c_lambda: float
     path_max: float
-    t0: float
     restarts: int
     descent: DescentResult
 
@@ -305,7 +307,7 @@ def _linearized_matrix(
     around the nearly-sparse tail instead of settling on it.  Filled into
     ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.
     """
-    lam, p, eps = params.lam, params.p, params.grad_reg_eps
+    lam, p, eps = params.lam, params.p, _GRAD_REG_EPS
     n, h = g.points_per_dim, g.spacing
     indptr, indices, diag_pos, edges = _stencil_pattern(g.dim, n)
     data = np.empty(indices.size)
@@ -331,13 +333,6 @@ def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: Perturbati
     positive diagonal, which correctly freezes those entries.
     """
     return _linearized_matrix(g, vvals, u, params, diag_shift=3.0 + np.log(u * u + 1e-300))
-
-
-def _h1v_raw(g: Grid, vvals: np.ndarray, u: np.ndarray) -> float:
-    vol = g.spacing**g.dim
-    comps = _gradient_components(g, u.reshape(g.shape))
-    kin = sum(float((c * c).sum()) for c in comps) * vol
-    return float(np.sqrt(kin + float((vvals * u * u).sum()) * vol))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +392,6 @@ def _subspace_local_max(
     params: PerturbationParams,
     others: list[np.ndarray],
     tol: float,
-    max_inner: int = 10,
 ) -> np.ndarray:
     """Move u to the nearby stationary point of I_lam restricted to
     span{u, others}, by damped Newton in the span coordinates.
@@ -427,7 +421,7 @@ def _subspace_local_max(
     vol = g.spacing**g.dim
     c = q.T @ u
     scale = float(np.sqrt(c @ c))
-    for _ in range(max_inner):
+    for _ in range(_SUBSPACE_MAX_INNER):
         v = q @ c
         gv = _gradient_raw(g, vvals, v, params)
         gc = vol * (q.T @ gv)
@@ -451,19 +445,14 @@ def _subspace_local_max(
     return q @ c
 
 
-def find_t0(g: Grid, potential, e: Field, params: PerturbationParams, rho_probe: float = 0.0) -> float:
-    """Smallest t in the doubling family {1, 2, 4, ...} with I_lam(t e) < 0
-    and weighted norm above rho_probe."""
+def find_t0(g: Grid, potential, e: Field, params: PerturbationParams) -> float:
+    """Smallest t in the doubling family {1, 2, 4, ...} with I_lam(t e) < 0."""
     if not float(np.abs(e.values).max()) > 0.0:
         raise ValueError("seed profile is identically zero")
     vvals = potential.evaluate(g).values
     t = 1.0
     for _ in range(61):
-        scaled = t * e.values
-        if (
-            _parts_raw(g, vvals, scaled, params).total < 0.0
-            and _h1v_raw(g, vvals, scaled) > rho_probe
-        ):
+        if _parts_raw(g, vvals, t * e.values, params).total < 0.0:
             return t
         t *= 2.0
     raise GeometryFailure(
@@ -668,12 +657,12 @@ def descend(
             step = z
         pair = vol * float(grad @ step) * scale
         alpha = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             cand = u - (alpha * scale) * step
             e1 = _parts_raw(g, vvals, cand, params).total
-            if np.isfinite(e1) and e1 <= e0 - cfg.armijo_c1 * alpha * pair:
+            if np.isfinite(e1) and e1 <= e0 - _ARMIJO_C1 * alpha * pair:
                 break
-            alpha *= cfg.backtrack_ratio
+            alpha *= _BACKTRACK_RATIO
         else:
             result.stagnated = True
             break
@@ -706,23 +695,22 @@ def mountain_pass(
 ) -> MountainPassResult:
     """Peak-of-path search for a critical point at fixed lam.
 
-    Builds the ray path s * t0 * e on cfg.path_segments segments, descends
-    from the discrete peak (smallest index on ties), restarting with a
-    doubled t0 if the iterate collapses to zero (at most three restarts).
+    Builds the ray path s * t0 * e on ``_PATH_SEGMENTS`` segments through
+    the seed e (``default_seed`` unless given), descends from the discrete
+    peak (smallest index on ties), restarting with a doubled t0 if the
+    iterate collapses to zero (at most three restarts).
     """
     validate_potential(g, potential)
     if params.lam <= 0.0:
         raise ValueError("mountain pass requires lam > 0 (use continue_to_limit for lam -> 0)")
-    e = seed if seed is not None else cfg.seed_profile
-    if e is None:
-        e = default_seed(g, potential)
+    e = seed if seed is not None else default_seed(g, potential)
     vvals = potential.evaluate(g).values
     t0 = find_t0(g, potential, e, params)
     if precond is None:
         precond = Preconditioner(g, potential)
     restarts = 0
     while True:
-        s = np.linspace(0.0, 1.0, cfg.path_segments + 1)
+        s = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1)
         energies = [
             _parts_raw(g, vvals, sk * t0 * e.values, params).total for sk in s
         ]
@@ -748,7 +736,7 @@ def mountain_pass(
             )
         c_lam = _parts_raw(g, vvals, res.field.values, params).total
         return MountainPassResult(
-            field=res.field, c_lambda=c_lam, path_max=path_max, t0=t0,
+            field=res.field, c_lambda=c_lam, path_max=path_max,
             restarts=restarts, descent=res,
         )
 
@@ -810,7 +798,6 @@ def continue_to_limit(
     )
     u = mp.field.values
     report.m2_estimate = mp.path_max
-    report.t0 = mp.t0
     report.restarts = mp.restarts
     report.records.append(_stage_record(g, vvals, u, par, mp.descent))
     report.trajectory.append(mp.field)
@@ -842,6 +829,5 @@ def continue_to_limit(
     lhs = parts.grad_sq + parts.v_mass
     report.nehari_margin = abs(lhs - parts.log_int) / (1.0 + abs(lhs))
     report.energy_mass_defect = abs(parts.total - 0.5 * parts.mass)
-    report.linf_final = float(np.abs(u).max())
     report.wall_time = time.perf_counter() - start
     return Field(grid=g, values=u), report

@@ -30,7 +30,7 @@ from .energy import (
     log_density,
     residual_original,
 )
-from .grid import Field, Grid, forward_gradient, integrate
+from .grid import Field, Grid, _grad_sq, _require_same_grid, integrate
 
 __all__ = [
     "CheckResult",
@@ -81,12 +81,6 @@ def _digest(g: Grid, **extras: object) -> str:
     return ";".join(parts)
 
 
-def _grad_sq(g: Grid, u: Field) -> float:
-    grad = forward_gradient(g, u)
-    vol = g.spacing**g.dim
-    return vol * sum(float(np.vdot(comp, comp)) for comp in grad.components)
-
-
 def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> CheckResult:
     """Defect of the critical-point identity grad+potential energy = log moment.
 
@@ -95,9 +89,10 @@ def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> Ch
     ``int(|grad u|^2 + V u^2) = int(u^2 log u^2)`` exactly; on arbitrary
     fields the margin is still computed but carries no claim.
     """
+    _require_same_grid(g, u)
     vals = potential.evaluate(g).values
     vol = g.spacing**g.dim
-    lhs = _grad_sq(g, u) + vol * float(np.dot(vals, u.values * u.values))
+    lhs = _grad_sq(g, u.values) + vol * float(np.dot(vals, u.values * u.values))
     rhs = vol * float(log_density(u.values).sum())
     margin = abs(lhs - rhs) / (1.0 + abs(lhs))
     return CheckResult(
@@ -181,11 +176,12 @@ def check_log_sobolev(g: Grid, u: Field, a: float) -> CheckResult:
     """
     if a <= 0.0:
         raise ValueError(f"log-Sobolev parameter a must be positive, got {a}")
+    _require_same_grid(g, u)
     mass = float(integrate(g, Field(grid=g, values=u.values * u.values)))
     if mass <= 0.0:
         raise ValueError("log-Sobolev check requires a field with positive mass")
     lhs = float(integrate(g, Field(grid=g, values=log_density(u.values))))
-    rhs = (a * a / np.pi) * _grad_sq(g, u) + (np.log(mass) - g.dim * (1.0 + np.log(a))) * mass
+    rhs = (a * a / np.pi) * _grad_sq(g, u.values) + (np.log(mass) - g.dim * (1.0 + np.log(a))) * mass
     margin = float(rhs - lhs + 1e-8 * (1.0 + abs(lhs)))
     return CheckResult(
         name="log_sobolev",

@@ -131,10 +131,6 @@ class TestPerturbationParams:
         with pytest.raises(ValueError):
             PerturbationParams(lam=0.5, p=p)
 
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            PerturbationParams(lam=0.5, grad_reg_eps=0.0)
-
 
 class TestEnergyTotal:
     def test_zero_field_zero_energy(self, grid1d):

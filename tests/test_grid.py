@@ -140,20 +140,20 @@ class TestForwardGradient:
     def test_hand_enumerated_edges(self):
         g = make_grid(1, 1.0, 3)  # h = 0.5
         u = Field(grid=g, values=np.array([0.0, 1.0, 0.0]))
-        (comp,) = forward_gradient(g, u).components
+        (comp,) = forward_gradient(g, u)
         # leading boundary edge, then the forward edge of each interior point
         np.testing.assert_allclose(comp, [0.0, 2.0, -2.0, 0.0], atol=1e-15)
 
     def test_zero_field(self, grid2d):
         z = Field(grid=grid2d, values=np.zeros(grid2d.npoints))
-        for comp in forward_gradient(grid2d, z).components:
+        for comp in forward_gradient(grid2d, z):
             assert np.all(comp == 0.0)
 
     def test_affine_data_constant_slope_on_interior_edges(self):
         g = make_grid(1, 4.0, 32)
         x = g.axis_coords()
         u = Field(grid=g, values=3.0 * x + 1.0)
-        (comp,) = forward_gradient(g, u).components
+        (comp,) = forward_gradient(g, u)
         # interior-interior edges carry the exact slope
         np.testing.assert_allclose(comp[1:-1], 3.0, atol=1e-12)
 
@@ -161,9 +161,9 @@ class TestForwardGradient:
         f = random_field(grid2d, np.random.default_rng(0))
         grad = forward_gradient(grid2d, f)
         n = grid2d.points_per_dim
-        assert len(grad.components) == 2
+        assert len(grad) == 2
         # each axis contributes n+1 edges per line, n lines
-        for comp in grad.components:
+        for comp in grad:
             assert comp.size == (n + 1) * n
 
 
@@ -228,7 +228,7 @@ class TestSummationByParts:
         lhs = vol * float(np.dot(neg_laplacian_apply(g, u).values, v.values))
         gu = forward_gradient(g, u)
         gv = forward_gradient(g, v)
-        rhs = vol * sum(float(np.vdot(a, b)) for a, b in zip(gu.components, gv.components))
+        rhs = vol * sum(float(np.vdot(a, b)) for a, b in zip(gu, gv))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

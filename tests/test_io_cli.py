@@ -118,11 +118,16 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "desc",
-        ["nonsense:1.0", "harmonic", "harmonic:-2.0", "shifted:harmonic:2.0", "tabulated"],
+        [
+            "nonsense:1.0", "harmonic", "harmonic:-2.0", "shifted:harmonic:2.0", "tabulated",
+            "harmonic:-2", "quartic:nan", "shifted:harmonic:2.0:inf", "harmonic:abc",
+        ],
     )
     def test_bad_potential_descriptors(self, desc):
         with pytest.raises(ConfigError, match="'potential'"):
             parse_config(config_text(potential=desc))
+        with pytest.raises(ConfigError, match="'potential'"):
+            build_potential(desc)
 
     def test_shifted_descriptor_recurses(self):
         spec = parse_config(config_text(potential="shifted:harmonic:2.0:+1.0"))

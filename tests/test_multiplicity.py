@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from lse.energy import Harmonic, PerturbationParams, Shifted
-from lse.grid import Field, integrate, make_grid, norm_h1v
+from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v
 from lse.multiplicity import (
     DeflationSet,
     ProximityError,
-    deflate_direction,
     find_k_solutions,
     structured_seed,
 )
@@ -42,10 +41,8 @@ def _unit_direction(g, potential, rng):
 class TestDeflationSet:
     def test_empty_set_leaves_direction_unchanged(self, gmid):
         ds = DeflationSet(grid=gmid, potential=V_HARMONIC)
-        z = random_field(gmid, np.random.default_rng(0))
         u = random_field(gmid, np.random.default_rng(1))
-        out = deflate_direction(z, u, ds)
-        np.testing.assert_array_equal(out.values, z.values)
+        assert ds.step_scale(u.values) == 1.0
 
     def test_unit_distance_doubles_direction(self, gmid):
         rng = np.random.default_rng(2)
@@ -54,9 +51,7 @@ class TestDeflationSet:
         # place the iterate at weighted distance exactly 1 from the anchor
         step = _unit_direction(gmid, V_HARMONIC, rng)
         u = Field(grid=gmid, values=anchor.values + step.values)
-        z = random_field(gmid, rng)
-        out = deflate_direction(z, u, ds)
-        np.testing.assert_allclose(out.values, 2.0 * z.values, rtol=1e-10)
+        assert ds.step_scale(u.values) == pytest.approx(2.0, rel=1e-10)
 
     def test_far_iterate_scale_tends_to_shift(self, gmid):
         rng = np.random.default_rng(3)
@@ -69,32 +64,18 @@ class TestDeflationSet:
     def test_proximity_guard(self, gmid):
         rng = np.random.default_rng(4)
         anchor = random_field(gmid, rng)
-        ds = DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[anchor], separation=0.1)
+        ds = DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[anchor])
         step = _unit_direction(gmid, V_HARMONIC, rng)
         u = Field(grid=gmid, values=anchor.values + 0.01 * step.values)
         with pytest.raises(ProximityError):
             ds.step_scale(u.values)
-
-    def test_zero_direction_stays_zero(self, gmid):
-        # deflation is a scalar multiple: fixed points stay fixed
-        rng = np.random.default_rng(5)
-        anchor = random_field(gmid, rng)
-        ds = DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[anchor])
-        z = Field(grid=gmid, values=np.zeros(gmid.npoints))
-        u = Field(grid=gmid, values=anchor.values + 2.0 * _unit_direction(gmid, V_HARMONIC, rng).values)
-        assert np.all(deflate_direction(z, u, ds).values == 0.0)
 
     def test_construction_rejects_close_pair(self, gmid):
         rng = np.random.default_rng(6)
         a = random_field(gmid, rng)
         b = Field(grid=gmid, values=a.values + 1e-4 * _unit_direction(gmid, V_HARMONIC, rng).values)
         with pytest.raises(ValueError, match="separation"):
-            DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[a, b], separation=0.1)
-
-    @pytest.mark.parametrize("kwargs", [{"separation": 0.0}, {"power": 0.0}, {"power": -1.0}])
-    def test_parameter_validation(self, gmid, kwargs):
-        with pytest.raises(ValueError):
-            DeflationSet(grid=gmid, potential=V_HARMONIC, **kwargs)
+            DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[a, b])
 
     def test_grid_mismatch(self, gmid, grid1d):
         stray = Field(grid=grid1d, values=np.ones(grid1d.npoints))
@@ -158,8 +139,6 @@ class TestFindKSolutions:
         energies = [e for _, e, _ in three]
         assert energies[0] > 0.0
         assert all(b - a >= 1e-6 for a, b in zip(energies, energies[1:]))
-        from lse.solver import _h1v_raw
-
         vv = V_SHIFTED.evaluate(gmid).values
         for i, (ui, _, _) in enumerate(three):
             for uj, _, _ in three[i + 1 :]:
