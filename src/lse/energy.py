@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
-from .grid import Field, Grid, _gradient_components, _neg_div, _require_same_grid
+from .grid import Field, Grid, _edge_integral, _gradient_components, _neg_div, _require_same_grid
 
 __all__ = [
     "Harmonic",
@@ -45,10 +44,20 @@ __all__ = [
 ]
 
 
+# The smallest positive float: max(|t|, _TINY) is |t| for every t != 0, and
+# log(_TINY) is finite, so t * _log_abs(t) is 0 at t = 0 without a warning.
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _log_abs(t: np.ndarray) -> np.ndarray:
+    """log|t| for t != 0, and a finite value at t = 0."""
+    return np.log(np.maximum(np.abs(t), _TINY))
+
+
 def log_nonlin(t):
     """t * log(t^2), extended continuously by 0 at t = 0."""
     t = np.asarray(t, dtype=np.float64)
-    out = 2.0 * xlogy(t, np.abs(t))
+    out = 2.0 * (t * _log_abs(t))
     return out if out.ndim else float(out)
 
 
@@ -59,7 +68,7 @@ def log_density(t):
     for |t| > 1.
     """
     t = np.asarray(t, dtype=np.float64)
-    out = 2.0 * xlogy(t * t, np.abs(t))
+    out = 2.0 * ((t * t) * _log_abs(t))
     return out if out.ndim else float(out)
 
 
@@ -201,15 +210,15 @@ def _edge_weights(comp: np.ndarray, p: float) -> np.ndarray:
 
 def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> EnergyParts:
     """energy_parts on raw flat arrays (no Field validation); solver hot path."""
-    vol = g.spacing**g.dim
+    vol = g.weight
     nd = u.reshape(g.shape)
     comps = _gradient_components(g, nd)
-    grad_sq = sum(float((c * c).sum()) for c in comps) * vol
+    grad_sq = _edge_integral(g, [c * c for c in comps])
     v_mass = float((vvals * u * u).sum()) * vol
     mass = float((u * u).sum()) * vol
     log_int = float(log_density(u).sum()) * vol
     if params.lam > 0.0:
-        p_grad = sum(float((_edge_weights(c, params.p) * c * c).sum()) for c in comps) * vol
+        p_grad = _edge_integral(g, [_edge_weights(c, params.p) * c * c for c in comps])
         p_mass = float((np.abs(u) ** params.p).sum()) * vol
     else:
         p_grad = p_mass = 0.0

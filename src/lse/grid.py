@@ -3,15 +3,26 @@
 The computational domain is the open box (-L, L)^dim.  A grid stores only
 interior points: per axis there are ``n`` of them with spacing
 ``h = 2L / (n + 1)``, so the coordinate of interior index ``i`` is
-``-L + (i + 1) h`` and the boundary values at +-L are identically zero by
-convention.  Scalar fields are stored flat in row-major (C) order, last
+``h * (i - (n - 1) / 2)``, exactly antisymmetric (so an odd ``n`` puts the
+origin on the grid), and the boundary values at +-L are identically zero
+by convention.  Scalar fields are stored flat in row-major (C) order, last
 axis fastest.
+
+A *quotient* grid (``mirror`` nonempty) stores only the orthant x > 0 of a
+full grid with an even ``n``: ``n / 2`` points per axis at ``h * (j + 1/2)``,
+bit for bit the upper half of the full coordinates.  The face x_d = 0 is a
+mirror of parity ``mirror[d]`` (+1 even, -1 odd), across which ``unfold``
+continues the field.  Every kernel below acts on a quotient field exactly
+as on its unfolded field: the mirror edge of the gradient is ``0`` (even)
+or ``2 u / h`` (odd), an edge sum counts the mirror edge at half weight (the
+full grid shares it between the two halves), and a point integral weighs
+each point by ``Grid.weight`` = 2^dim h^dim.
 
 Differential operators follow a summation-by-parts pairing:
 
 * ``forward_gradient`` returns, per axis, the ``n + 1`` forward-difference
   edge values of each grid line, *including* the two boundary-adjacent
-  edges (difference against the zero exterior).
+  edges (difference against the zero exterior, or against the mirror).
 * ``neg_laplacian_apply`` is the negative divergence of that gradient,
   which is the standard ``2*dim + 1`` point stencil.
 
@@ -21,13 +32,14 @@ With both boundary edges included the discrete identity
 
 holds to machine precision, which the energy routines rely on.  Each of
 these quantities has one raw-array kernel here (``_gradient_components``,
-``_neg_div``, ``_grad_sq``, ``_h1v_raw``) that the Field-validated public
-functions and the solver's hot path share.
+``_neg_div``, ``_edge_integral``, ``_grad_sq``, ``_h1v_raw``) that the
+Field-validated public functions and the solver's hot path share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +47,8 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
+    "quotient_grid",
+    "unfold",
     "forward_gradient",
     "neg_laplacian_apply",
     "integrate",
@@ -45,16 +59,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior-point grid on (-half_width, half_width)^dim."""
+    """Uniform interior-point grid on (-half_width, half_width)^dim, or with
+    ``mirror`` (one parity per axis) its quotient on the orthant x > 0."""
 
     dim: int
     half_width: float
     points_per_dim: int
     spacing: float
+    mirror: tuple[int, ...] = ()
 
     @property
     def npoints(self) -> int:
-        """Total number of interior points."""
+        """Total number of stored points."""
         return self.points_per_dim**self.dim
 
     @property
@@ -62,10 +78,24 @@ class Grid:
         """nd array shape (points_per_dim,) * dim."""
         return (self.points_per_dim,) * self.dim
 
+    @property
+    def box_points(self) -> int:
+        """Points per axis across the whole box (twice the stored ones on a
+        quotient grid)."""
+        return 2 * self.points_per_dim if self.mirror else self.points_per_dim
+
+    @functools.cached_property
+    def weight(self) -> float:
+        """Quadrature weight of one stored point: h^dim, times the 2^dim
+        mirror images of a quotient point."""
+        return (2 ** len(self.mirror)) * self.spacing**self.dim
+
     def axis_coords(self) -> np.ndarray:
-        """Interior coordinates along one axis (all axes are identical)."""
+        """Stored coordinates along one axis (all axes are identical)."""
         n, h = self.points_per_dim, self.spacing
-        return -self.half_width + h * np.arange(1, n + 1)
+        if self.mirror:
+            return h * (np.arange(n) + 0.5)
+        return h * (np.arange(n) - (n - 1) / 2)
 
     def coordinate_arrays(self) -> list[np.ndarray]:
         """Broadcastable coordinate arrays, one per axis."""
@@ -133,6 +163,25 @@ def make_grid(dim: int, half_width: float, points_per_dim: int) -> Grid:
     return Grid(dim=dim, half_width=half_width, points_per_dim=int(points_per_dim), spacing=spacing)
 
 
+def quotient_grid(g: Grid, mirror: tuple[int, ...]) -> Grid:
+    """The orthant x > 0 of the full grid g (even point count) with a mirror
+    face of parity ``mirror[d]`` (+1 even, -1 odd) at x_d = 0."""
+    if g.mirror or g.points_per_dim % 2 or len(mirror) != g.dim or not set(mirror) <= {1, -1}:
+        raise ValueError(
+            f"no quotient with mirror={mirror} of {g.dim}d n={g.points_per_dim} mirror={g.mirror}: "
+            "needs a full grid, an even n and a parity of +1 or -1 per axis"
+        )
+    return replace(g, points_per_dim=g.points_per_dim // 2, mirror=tuple(mirror))
+
+
+def unfold(g: Grid, u: np.ndarray) -> Field:
+    """The full-grid field whose quotient on g is the flat array u."""
+    nd = u.reshape(g.shape)
+    for d, parity in enumerate(g.mirror):
+        nd = np.concatenate([parity * np.flip(nd, axis=d), nd], axis=d)
+    return Field(grid=replace(g, points_per_dim=g.box_points, mirror=()), values=nd.reshape(-1))
+
+
 def _require_same_grid(g: Grid, u: Field) -> None:
     if u.grid != g:
         raise ValueError(
@@ -142,14 +191,18 @@ def _require_same_grid(g: Grid, u: Field) -> None:
 
 
 def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
-    """Edge-difference components of an nd value array (zero exterior)."""
+    """Edge-difference components of an nd value array (zero exterior; the
+    first edge of a quotient axis differences against the mirror point)."""
     comps = []
     for d in range(g.dim):
         lead = (slice(None),) * d
         c = np.empty(nd.shape[:d] + (nd.shape[d] + 1,) + nd.shape[d + 1:])
-        # as differencing the zero-padded array: 0 - u keeps a +0.0 edge +0.0
-        c[lead + (0,)] = nd[lead + (0,)]
+        if g.mirror:  # u minus its mirror image parity * u
+            c[lead + (0,)] = (1 - g.mirror[d]) * nd[lead + (0,)]
+        else:  # u minus the zero exterior
+            c[lead + (0,)] = nd[lead + (0,)]
         np.subtract(nd[lead + (slice(1, None),)], nd[lead + (slice(None, -1),)], out=c[lead + (slice(1, -1),)])
+        # as differencing the zero-padded array: 0 - u keeps a +0.0 edge +0.0
         np.subtract(0.0, nd[lead + (slice(-1, None),)], out=c[lead + (slice(-1, None),)])
         c /= g.spacing
         comps.append(c)
@@ -182,21 +235,32 @@ def neg_laplacian_apply(g: Grid, u: Field) -> Field:
 
 
 def integrate(g: Grid, u: Field) -> float:
-    """Quadrature h^dim * sum(values) over the interior points."""
+    """Quadrature weight * sum(values) over the stored points (on a quotient
+    grid, the integral over the box of the field's even extension)."""
     _require_same_grid(g, u)
-    return float(g.spacing**g.dim * u.values.sum())
+    return float(g.weight * u.values.sum())
+
+
+def _edge_integral(g: Grid, per_axis) -> float:
+    """Sum of per-axis edge arrays, functions of the gradient components
+    that vanish with them, times the point weight.  Each edge carries the
+    weight of a grid point, and a mirror edge, which a quotient shares with
+    its image, half of it; an even one is 0 and skipped."""
+    total = sum(float(c.sum()) for c in per_axis)
+    for d, parity in enumerate(g.mirror):
+        if parity < 0:
+            total -= 0.5 * float(per_axis[d][(slice(None),) * d + (0,)].sum())
+    return total * g.weight
 
 
 def _grad_sq(g: Grid, u: np.ndarray) -> float:
-    """sum |grad u|^2 h^dim of a flat value array; each edge carries the
-    same h^dim weight as a grid point."""
-    comps = _gradient_components(g, u.reshape(g.shape))
-    return sum(float((c * c).sum()) for c in comps) * g.spacing**g.dim
+    """sum |grad u|^2 h^dim of a flat value array."""
+    return _edge_integral(g, [c * c for c in _gradient_components(g, u.reshape(g.shape))])
 
 
 def _h1v_raw(g: Grid, vvals: np.ndarray, u: np.ndarray) -> float:
     """norm_h1v on raw flat arrays (no Field validation)."""
-    return float(np.sqrt(_grad_sq(g, u) + float((vvals * u * u).sum()) * g.spacing**g.dim))
+    return float(np.sqrt(_grad_sq(g, u) + float((vvals * u * u).sum()) * g.weight))
 
 
 def norm_h1v(g: Grid, potential, u: Field) -> float:
@@ -214,7 +278,6 @@ def norm_w1p(g: Grid, u: Field, p: float) -> float:
     _require_same_grid(g, u)
     if not 1.0 < p < 2.0:
         raise ValueError(f"exponent out of range: p={p} (must satisfy 1 < p < 2)")
-    vol = g.spacing**g.dim
-    grad_part = sum(float((np.abs(c) ** p).sum()) for c in _gradient_components(g, u.nd())) * vol
-    mass_part = float((np.abs(u.values) ** p).sum()) * vol
+    grad_part = _edge_integral(g, [np.abs(c) ** p for c in _gradient_components(g, u.nd())])
+    mass_part = float((np.abs(u.values) ** p).sum()) * g.weight
     return float((grad_part + mass_part) ** (1.0 / p))

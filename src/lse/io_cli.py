@@ -317,8 +317,16 @@ def read_field(path: str) -> tuple[Grid, Field]:
 # orchestration
 
 
-def _run_checks(g: Grid, potential, u: Field, spec: RunSpec) -> list[CheckResult]:
-    """All registry checks for one accepted solution, in registry order."""
+def _gradient_check(g: Grid, potential, spec: RunSpec) -> CheckResult:
+    """The registry's gradient check, which depends on the run, not on a
+    solution: its fields are random draws seeded by ``rng_seed``."""
+    params0 = PerturbationParams(lam=0.0, p=spec.p)
+    return check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed)
+
+
+def _run_checks(g: Grid, potential, u: Field, spec: RunSpec, gradient: CheckResult) -> list[CheckResult]:
+    """All registry checks for one accepted solution, in registry order;
+    ``gradient`` is the run's ``_gradient_check``."""
     params0 = PerturbationParams(lam=0.0, p=spec.p)
     nehari_tol = 20.0 * spec.tol_grad * norm_h1v(g, potential, u)
     return [
@@ -327,7 +335,7 @@ def _run_checks(g: Grid, potential, u: Field, spec: RunSpec) -> list[CheckResult
         check_scaling(g, potential, u, 0.3),
         check_log_sobolev(g, u, 1.0),
         check_linf(u),
-        check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed),
+        gradient,
     ]
 
 
@@ -398,7 +406,8 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
         )
 
     try:
-        all_checks = [_run_checks(g, potential, u, spec) for u, _, _ in solutions]
+        gradient = _gradient_check(g, potential, spec)
+        all_checks = [_run_checks(g, potential, u, spec, gradient) for u, _, _ in solutions]
     except ValueError as exc:
         return _fail("verify", str(exc))
 
@@ -479,7 +488,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         potential = build_potential(spec.potential)
         validate_potential(g, potential)
-        results = _run_checks(g, potential, u, spec)
+        results = _run_checks(g, potential, u, spec, _gradient_check(g, potential, spec))
     except ValueError as exc:
         return _fail("verify", str(exc))
     if not args.quiet:

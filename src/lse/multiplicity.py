@@ -9,6 +9,14 @@ Both u_i and -u_i are stored, since the energy is even and sign flips are
 not new solutions.  Solutions closer than ``_SEPARATION`` in the weighted
 Sobolev norm count as one.
 
+Each seed has a definite parity on every axis.  When the potential is
+mirror-symmetric (and the point count even), the seed is solved on the
+quotient grid of its parity sector, a 1/2^dim orthant of the box, and
+deflated only against solutions of the same sector; critical points of the
+energy restricted to a sector are critical points of the full energy
+(Palais's principle of symmetric criticality), so the accepted solution is
+unfolded to the full grid.  Otherwise every seed runs on the full grid.
+
 Finding k distinct fields this way is evidence for multiplicity, not a
 proof; the deflation operator is a computational surrogate for a
 topological minimax construction and is documented as such.
@@ -22,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import hermite as herm
 
-from .grid import Field, Grid, _h1v_raw
+from .energy import PerturbationParams, Tabulated
+from .grid import Field, Grid, _h1v_raw, quotient_grid, unfold
 from .solver import (
     CollapseError,
     ContinuationSchedule,
@@ -33,7 +42,6 @@ from .solver import (
     SolveReport,
     continue_to_limit,
 )
-from .energy import PerturbationParams
 
 __all__ = [
     "ProximityError",
@@ -100,14 +108,16 @@ def structured_seed(g: Grid, j: int, potential) -> Field:
     """j-th seed profile: Hermite polynomial of degree j-1 along the first
     axis times a Gaussian envelope, so the seed has j-1 sign changes.
 
-    Normalized to unit weighted-Sobolev norm.  Raises for j >= n/2, where
-    the oscillations are no longer resolved.
+    Normalized to unit weighted-Sobolev norm.  Raises for j >= n/2 (n the
+    points per axis across the box), where the oscillations are no longer
+    resolved.  On a quotient grid it is the restriction of the full-grid
+    seed; only a seed whose parity matches the grid's mirror is meaningful.
     """
     if j < 1:
         raise ValueError(f"seed index j={j} must be at least 1")
-    if j >= g.points_per_dim / 2:
+    if j >= g.box_points / 2:
         raise ValueError(
-            f"seed index j={j} under-resolved on {g.points_per_dim} points per axis "
+            f"seed index j={j} under-resolved on {g.box_points} points per axis "
             f"(need j < n/2)"
         )
     x1 = g.coordinate_arrays()[0]
@@ -127,53 +137,63 @@ def find_k_solutions(
 ) -> list[tuple[Field, float, SolveReport]]:
     """Collect up to k distinct solutions of the lam -> 0 limit problem.
 
-    Seeds j = 1, 2, ... are tried in order (up to 3k attempts).  Each
-    attempt deflates against the lam-matched continuation trajectories of
-    everything accepted so far, so stage i of a new run avoids stage i of
-    the old ones.  Candidates closer than ``_SEPARATION`` to +-(an accepted
-    solution) are rejected as duplicates.  Returns the accepted list
-    sorted by energy; a shortfall is logged, not raised.
+    Seeds j = 1, 2, ... are tried in order (up to 3k attempts).  When n is
+    even and V equals its mirror image on every axis, bit for bit, seed j
+    runs on the quotient grid of its sector, axis-0 parity (-1)^(j-1) and
+    even on every other axis, with V restricted to it; otherwise on the
+    full grid.  Each attempt deflates against the lam-matched continuation
+    trajectories of everything accepted so far in its sector, so stage i of
+    a new run avoids stage i of the old ones.  Candidates whose unfolded
+    field is closer than ``_SEPARATION`` to +-(an accepted solution) are
+    rejected as duplicates.  Returns the accepted full-grid fields with
+    their energies and the reports of ``continue_to_limit``, sorted by
+    energy; a shortfall is logged, not raised.
     """
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     vv = potential.evaluate(g).values
-    precond = Preconditioner(g, potential)
+    nd = vv.reshape(g.shape)
+    folds = g.points_per_dim % 2 == 0 and all(np.array_equal(nd, np.flip(nd, axis=d)) for d in range(g.dim))
+    # parity sector -> (grid, potential, preconditioner, accepted reports)
+    sectors: dict[tuple[int, ...], tuple] = {}
     accepted: list[tuple[Field, float, SolveReport]] = []
-    # seeds have definite first-axis parity; pin the sector during descent
-    # whenever the potential shares the reflection symmetry
-    vv_nd = vv.reshape(g.shape)
-    symmetric_potential = bool(np.array_equal(vv_nd, np.flip(vv_nd, axis=0)))
 
     def deflation_for_stage(i: int):
-        if not accepted:
+        # the sector (sg, sv, reports) of the running attempt
+        if not reports:
             return None
         sols: list[Field] = []
-        for _, _, rep in accepted:
+        for rep in reports:
             traj = rep.trajectory[min(i, len(rep.trajectory) - 1)]
             sols.append(traj)
-            sols.append(Field(grid=g, values=-traj.values))
-        return DeflationSet(grid=g, potential=potential, solutions=sols)
+            sols.append(Field(grid=sg, values=-traj.values))
+        return DeflationSet(grid=sg, potential=sv, solutions=sols)
 
     for attempt in range(1, 3 * k + 1):
         if len(accepted) >= k:
             break
+        key = ((-1) ** (attempt - 1),) + (1,) * (g.dim - 1) if folds else ()
+        if key not in sectors:
+            sg, sv = g, potential
+            if key:
+                sg = quotient_grid(g, key)
+                sv = Tabulated(values=Field(grid=sg, values=nd[(slice(sg.points_per_dim, None),) * g.dim]))
+            sectors[key] = (sg, sv, Preconditioner(sg, sv), [])
+        sg, sv, precond, reports = sectors[key]
         try:
-            seed = structured_seed(g, attempt, potential)
+            seed = structured_seed(sg, attempt, sv)
         except ValueError as exc:
             log.warning("seed %d rejected: %s", attempt, exc)
             break
-        symmetry = None
-        if symmetric_potential:
-            symmetry = "even" if attempt % 2 == 1 else "odd"
         try:
             u, rep = continue_to_limit(
-                g, potential, sched, params, cfg,
+                sg, sv, sched, params, cfg,
                 seed=seed, deflation_for_stage=deflation_for_stage, precond=precond,
-                symmetry=symmetry,
             )
         except (CollapseError, ConvergenceFailure, GeometryFailure, ProximityError) as exc:
             log.info("seed %d did not produce a solution: %s", attempt, exc)
             continue
+        u = unfold(sg, u.values)
         dup = False
         for prev, _, _ in accepted:
             d = min(
@@ -187,6 +207,7 @@ def find_k_solutions(
         if dup:
             continue
         accepted.append((u, rep.records[-1].energy, rep))
+        reports.append(rep)
 
     accepted.sort(key=lambda item: item[1])
     if len(accepted) < k:

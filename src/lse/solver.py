@@ -12,11 +12,18 @@ point:
 * an Armijo descent step, which contracts everything else.  At lam > 0
   its direction s solves A s = el_gradient(u), with A the SPD
   linearization ``_linearized_matrix`` at the iterate (factored on every
-  step; in 3d solved by conjugate gradients); at lam = 0 it is z solving
-  the fixed (-Lap + V + 1) z = el_gradient(u) of ``Preconditioner``,
-  whose weighted norm is the residual at every lam.  Both operators, and
-  the Newton Jacobian below, are value fills of one cached CSC stencil
-  pattern per grid, ``_stencil_pattern``.
+  step; on full 3d grids solved by conjugate gradients); at lam = 0 it is
+  z solving the fixed (-Lap + V + 1) z = el_gradient(u) of
+  ``Preconditioner``, whose weighted norm is the residual at every lam.
+  Both operators, and the Newton Jacobian below, are value fills of one
+  cached CSC stencil pattern per grid, ``_stencil_pattern``.
+
+Every function here works on a full grid and on a quotient grid of one
+parity sector alike (see :mod:`lse.grid`): the kernels carry the mirror
+faces, and the operators add the mirror edge to their face diagonals.  A
+quotient grid is factored in every dimension (up to ``_QUOTIENT_3D_LIMIT``
+unknowns in 3d), and its iterates stay in their sector exactly, since the
+sector is the space they live in.
 
 Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
 ``_newton_polish``: damped Newton on the true Jacobian ``_newton_matrix``,
@@ -38,13 +45,13 @@ schedule with warm starts and finishes with a lam = 0 solve.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import brentq
 
 from .energy import (
     _GRAD_REG_EPS,
@@ -200,6 +207,17 @@ class MountainPassResult:
 # sparse factorizations and the preconditioner
 
 _DIRECT_LIMIT = 120_000  # unknowns; beyond this fall back to conjugate gradients
+# Largest 3d quotient grid (unknowns) whose operators are factored.  A full
+# 3d grid keeps Jacobi-CG for its step and fixed operators: factoring them
+# costs about 80 ms at n=14 and 514 ms at n=20 per factorization.
+_QUOTIENT_3D_LIMIT = 20**3
+
+
+def _factors(g: Grid) -> bool:
+    """Whether the step and fixed operators on g are factored (planar grids
+    and small 3d quotient grids) rather than solved by Jacobi-CG."""
+    return g.dim <= 2 or (bool(g.mirror) and g.npoints <= _QUOTIENT_3D_LIMIT)
+
 
 # Minimum degree on the pattern of A^T + A.  Every operator factored here is
 # a structurally symmetric stencil matrix, for which this ordering gives
@@ -237,20 +255,25 @@ class Preconditioner:
     iterate-dependent operator ``_linearized_matrix`` instead, and the
     Newton finish solves with the Jacobian ``_newton_matrix``; ``descend``
     factors both apart from these, at the current iterate (see the module
-    docstring).  Small and planar problems use a sparse LU factorization
-    (one factorize, many cheap solves, bit-reproducible); large 3d
-    problems fall back to diagonally preconditioned conjugate gradients at
-    rtol 1e-10.
+    docstring).  Planar problems and small 3d quotient grids use a sparse
+    LU factorization (one factorize, many cheap solves, bit-reproducible);
+    full 3d grids and very large ones fall back to diagonally
+    preconditioned conjugate gradients at rtol 1e-10.
     """
 
     def __init__(self, g: Grid, potential) -> None:
         self.grid = g
         vvals = potential.evaluate(g).values
-        indptr, indices, diag, _ = _stencil_pattern(g.dim, g.points_per_dim)
+        indptr, indices, diag_pos, _ = _stencil_pattern(g.dim, g.points_per_dim)
         data = np.full(indices.size, -1.0 / g.spacing**2)
-        data[diag] = g.dim * (2.0 / g.spacing**2) + (vvals + 1.0)
+        diag = np.full(g.shape, g.dim * (2.0 / g.spacing**2))
+        for d, parity in enumerate(g.mirror):
+            # a mirror edge couples a face point to its image: 0 (even) or 2
+            # (odd) times the coupling to the zero exterior
+            diag[(slice(None),) * d + (0,)] -= parity / g.spacing**2
+        data[diag_pos] = diag.reshape(-1) + (vvals + 1.0)
         a = sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints))
-        if g.npoints <= _DIRECT_LIMIT and g.dim <= 2:
+        if g.npoints <= _DIRECT_LIMIT and _factors(g):
             self._lu = _Factorization()
             self._lu.factor(a)
             self._cg = None
@@ -265,7 +288,7 @@ class Preconditioner:
             return self._lu.solve(rhs)
         z, info = spla.cg(
             self._op, rhs, x0=self._cg, M=self._diag_inv, rtol=1e-10, atol=0.0,
-            maxiter=20 * self.grid.points_per_dim,
+            maxiter=20 * self.grid.box_points,
         )
         if info != 0:
             raise ConvergenceFailure(f"preconditioner solve did not converge (cg info={info})")
@@ -305,7 +328,9 @@ def _linearized_matrix(
     regularized second derivative of the p-mass term.  Without the latter,
     the |u|^(p-1) nonlinearity makes preconditioned descent oscillate
     around the nearly-sparse tail instead of settling on it.  Filled into
-    ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.
+    ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.  On
+    a quotient grid the mirror edge enters the face diagonal with 0 (even)
+    or 2 (odd) times its coefficient, as d(mirror edge)/du = (1 - parity)/h.
     """
     lam, p, eps = params.lam, params.p, _GRAD_REG_EPS
     n, h = g.points_per_dim, g.spacing
@@ -317,6 +342,8 @@ def _linearized_matrix(
         # d/dg [ (g^2 + eps^2)^((p-2)/2) g ] -- always in (0, weight]
         coeff = 1.0 + lam * ((g2 + eps * eps) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * g2 / (g2 + eps * eps)))
         lead = (slice(None),) * d
+        if g.mirror:
+            coeff[lead + (0,)] *= 1 - g.mirror[d]
         diag += (coeff[lead + (slice(0, n),)] + coeff[lead + (slice(1, n + 1),)]) / h**2
         data[lower] = data[upper] = -(coeff[lead + (slice(1, n),)] / h**2).reshape(-1)
     diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * (u * u + eps**2) ** ((p - 2.0) / 2.0)
@@ -349,10 +376,11 @@ def default_seed(g: Grid, potential) -> Field:
 def _ray_peak_factor(parts, params: PerturbationParams) -> float:
     """t* > 0 maximizing I_lam(t u) given the energy parts of u.
 
-    d/dt I_lam(t u) / t = lam t^(p-2) P + Q - s - 2 m log t with
+    d/dt I_lam(t u) / t = psi(t) = lam t^(p-2) P + Q - s - 2 m log t with
     P = p-terms, Q = |grad u|^2 + V-mass, m = mass, s = log integral;
-    the left side is strictly decreasing in t, so the peak is the unique
-    root.
+    psi is strictly decreasing and convex in t, so the peak is its unique
+    root, which Newton's method approaches monotonically from the left end
+    of a doubling bracket.
     """
     m = parts.mass
     if m <= 0.0:
@@ -362,8 +390,10 @@ def _ray_peak_factor(parts, params: PerturbationParams) -> float:
         return float(np.exp(np.clip(q_minus_s / (2.0 * m), -50.0, 50.0)))
     p_total = parts.p_grad + parts.p_mass
 
+    lam, p = params.lam, params.p
+
     def psi(t: float) -> float:
-        return params.lam * t ** (params.p - 2.0) * p_total + q_minus_s - 2.0 * m * np.log(t)
+        return lam * t ** (p - 2.0) * p_total + q_minus_s - 2.0 * m * math.log(t)
 
     lo = hi = 1.0
     if psi(1.0) > 0.0:
@@ -382,7 +412,19 @@ def _ray_peak_factor(parts, params: PerturbationParams) -> float:
         else:
             return lo
         hi = lo * 2.0
-    return float(brentq(psi, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    # psi(lo) >= 0 > psi(hi).  From lo the Newton iterates of the convex,
+    # decreasing psi rise to the root without passing it, so psi <= 0 or a
+    # step at rounding level ends the iteration; hi caps every step.
+    t = lo
+    for _ in range(100):
+        f = psi(t)
+        if f <= 0.0:
+            break
+        t_next = min(t - f / (lam * (p - 2.0) * t ** (p - 3.0) * p_total - 2.0 * m / t), hi)
+        if t_next - t <= 4.0 * np.finfo(float).eps * t:
+            return float(t_next)
+        t = t_next
+    return float(t)
 
 
 def _subspace_local_max(
@@ -418,7 +460,7 @@ def _subspace_local_max(
         return _ray_peak_factor(parts, params) * u
     q, _ = np.linalg.qr(np.stack(cols, axis=1))
     r = q.shape[1]
-    vol = g.spacing**g.dim
+    vol = g.weight
     c = q.T @ u
     scale = float(np.sqrt(c @ c))
     for _ in range(_SUBSPACE_MAX_INNER):
@@ -506,7 +548,6 @@ def _newton_polish(
     result: DescentResult,
     *,
     deflation=None,
-    symmetry: str | None = None,
     mass_floor: float = 0.0,
 ) -> np.ndarray:
     """Damped Newton iteration on el_gradient = 0, monotone in the
@@ -521,7 +562,7 @@ def _newton_polish(
     and a step that finds no such damping sets ``result.stagnated``.
     ``result.residual`` and ``result.converged`` describe the final iterate.
     """
-    vol = g.spacing**g.dim
+    vol = g.weight
     while resid > cfg.descent_tol and result.iterations < cfg.max_outer:
         if deflation is not None:
             deflation.step_scale(u)  # proximity guard only
@@ -529,7 +570,7 @@ def _newton_polish(
         delta = lu.solve(grad)
         damp = 1.0
         for _ in range(8):
-            cand = _parity_project(g, u - damp * delta, symmetry)
+            cand = u - damp * delta
             gnew = _gradient_raw(g, vvals, cand, params)
             rnew = _h1v_raw(g, vvals, precond.solve(gnew))
             if np.isfinite(rnew) and rnew < 0.99 * resid:
@@ -547,25 +588,6 @@ def _newton_polish(
     result.residual = resid
     result.converged = resid <= cfg.descent_tol and not result.collapsed
     return u
-
-
-def _parity_project(g: Grid, u: np.ndarray, symmetry: str | None) -> np.ndarray:
-    """Project onto the even or odd sector of first-axis reflection.
-
-    Iterates launched from a seed with definite parity stay in that sector
-    exactly; without the projection, linear-solve roundoff seeds the
-    complementary sector and the instability of excited states amplifies
-    it until the iterate slides into the ground state's basin.
-    """
-    if symmetry is None:
-        return u
-    nd = u.reshape(g.shape)
-    flipped = np.flip(nd, axis=0)
-    if symmetry == "even":
-        return (0.5 * (nd + flipped)).reshape(-1)
-    if symmetry == "odd":
-        return (0.5 * (nd - flipped)).reshape(-1)
-    raise ValueError(f"symmetry={symmetry!r} (must be None, 'even' or 'odd')")
 
 
 # Preconditioned residual at or below which ``descend`` finishes with
@@ -586,7 +608,6 @@ def descend(
     ray_rescale: bool = True,
     mass_floor: float = 0.0,
     precond: Preconditioner | None = None,
-    symmetry: str | None = None,
 ) -> DescentResult:
     """Preconditioned Armijo descent, optionally ray-stabilized, finished
     by damped Newton.
@@ -599,14 +620,13 @@ def descend(
     ``_NEWTON_RESID`` the rest of the budget goes to ``_newton_polish``.
     ``deflation`` may supply a ``step_scale(u_flat)`` factor (see the
     deflation operator); ``mass_floor`` aborts with the collapsed flag when
-    the iterate's mass integral falls below it; ``symmetry`` pins the
-    first-axis parity sector of the iterates.
+    the iterate's mass integral falls below it.
     """
     vvals = potential.evaluate(g).values
     if precond is None:
         precond = Preconditioner(g, potential)
-    vol = g.spacing**g.dim
-    u = _parity_project(g, np.array(u0.values), symmetry)
+    vol = g.weight
+    u = np.array(u0.values)
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
     step_prev: np.ndarray | None = None
     span = [s.values for s in deflation.solutions] if deflation is not None else []
@@ -632,12 +652,12 @@ def descend(
             # a few steps and needs no ray or deflation stabilization
             u = _newton_polish(
                 g, vvals, u, grad, resid, params, cfg, precond, lu, result,
-                deflation=deflation, symmetry=symmetry, mass_floor=mass_floor,
+                deflation=deflation, mass_floor=mass_floor,
             )
             break
         scale = 1.0 if deflation is None else deflation.step_scale(u)
         e0 = _parts_raw(g, vvals, u, params).total
-        if params.lam > 0.0 and g.dim <= 2:
+        if params.lam > 0.0 and _factors(g):
             # step through the perturbation-aware linearization; the fixed
             # operator only measures the residual above
             lu.factor(_linearized_matrix(g, vvals, u, params))
@@ -646,7 +666,7 @@ def descend(
             a_u = _linearized_matrix(g, vvals, u, params)
             step, info = spla.cg(
                 a_u, grad, x0=step_prev, M=sp.diags(1.0 / a_u.diagonal()),
-                rtol=1e-8, atol=0.0, maxiter=20 * g.points_per_dim,
+                rtol=1e-8, atol=0.0, maxiter=20 * g.box_points,
             )
             if info != 0:
                 raise ConvergenceFailure(
@@ -666,7 +686,7 @@ def descend(
         else:
             result.stagnated = True
             break
-        u = _parity_project(g, cand, symmetry)
+        u = cand
         result.energy_steps.append((e0, e1))
         result.iterations += 1
         if mass_floor > 0.0 and vol * float((u * u).sum()) < mass_floor:
@@ -691,7 +711,6 @@ def mountain_pass(
     seed: Field | None = None,
     deflation=None,
     precond: Preconditioner | None = None,
-    symmetry: str | None = None,
 ) -> MountainPassResult:
     """Peak-of-path search for a critical point at fixed lam.
 
@@ -720,7 +739,7 @@ def mountain_pass(
         res = descend(
             g, potential, u0, params, cfg,
             deflation=deflation, ray_rescale=True, mass_floor=_MASS_FLOOR,
-            precond=precond, symmetry=symmetry,
+            precond=precond,
         )
         if res.collapsed:
             restarts += 1
@@ -744,7 +763,7 @@ def mountain_pass(
 def _stage_record(g, vvals, u: np.ndarray, params, res: DescentResult) -> LambdaRecord:
     parts = _parts_raw(g, vvals, u, params)
     raw = _gradient_raw(g, vvals, u, params)
-    vol = g.spacing**g.dim
+    vol = g.weight
     if params.lam > 0.0:
         w1p_p = params.lam * norm_w1p(g, Field(grid=g, values=u), params.p) ** params.p
     else:
@@ -771,7 +790,6 @@ def continue_to_limit(
     seed: Field | None = None,
     deflation_for_stage=None,
     precond: Preconditioner | None = None,
-    symmetry: str | None = None,
 ) -> tuple[Field, SolveReport]:
     """Mountain pass at lambda_start, then warm-started continuation to lam = 0.
 
@@ -792,10 +810,7 @@ def continue_to_limit(
         return deflation_for_stage(i) if deflation_for_stage is not None else None
 
     par = replace(params, lam=lams[0])
-    mp = mountain_pass(
-        g, potential, par, cfg, seed=seed, deflation=defl(0), precond=precond,
-        symmetry=symmetry,
-    )
+    mp = mountain_pass(g, potential, par, cfg, seed=seed, deflation=defl(0), precond=precond)
     u = mp.field.values
     report.m2_estimate = mp.path_max
     report.restarts = mp.restarts
@@ -807,7 +822,7 @@ def continue_to_limit(
         res = descend(
             g, potential, Field(grid=g, values=u), par, cfg,
             deflation=defl(i), ray_rescale=True, mass_floor=_MASS_FLOOR,
-            precond=precond, symmetry=symmetry,
+            precond=precond,
         )
         if res.collapsed:
             raise CollapseError(f"iterate collapsed to zero at lam={lam:g}")
@@ -821,7 +836,7 @@ def continue_to_limit(
         report.records.append(_stage_record(g, vvals, u, par, res))
         report.trajectory.append(res.field)
 
-    vol = g.spacing**g.dim
+    vol = g.weight
     mass = vol * float((u * u).sum())
     if mass < 1e-6:
         raise CollapseError(f"trivial limit: mass integral {mass:.3e} below 1e-6 (run rejected)")

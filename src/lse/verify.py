@@ -91,7 +91,7 @@ def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> Ch
     """
     _require_same_grid(g, u)
     vals = potential.evaluate(g).values
-    vol = g.spacing**g.dim
+    vol = g.weight
     lhs = _grad_sq(g, u.values) + vol * float(np.dot(vals, u.values * u.values))
     rhs = vol * float(log_density(u.values).sum())
     margin = abs(lhs - rhs) / (1.0 + abs(lhs))
@@ -121,7 +121,7 @@ def check_energy_identity(
     """
     parts = energy_parts(g, potential, u, params)
     grad = el_gradient(g, potential, u, params)
-    vol = g.spacing**g.dim
+    vol = g.weight
     lhs = 2.0 * parts.total - vol * float(np.dot(grad.values, u.values))
     rhs = (2.0 - params.p) / params.p * params.lam * (parts.p_grad + parts.p_mass) + parts.mass
     margin = abs(lhs - rhs) / (1.0 + abs(rhs))
@@ -226,7 +226,7 @@ def check_gradient_fd(
     if trials < 1:
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
     rng = np.random.default_rng(rng_seed)
-    vol = g.spacing**g.dim
+    vol = g.weight
     worst = 0.0
     for _ in range(trials):
         u_vals = rng.uniform(-2.0, 2.0, size=g.npoints)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,8 @@ from lse.energy import (
     Quartic,
     Shifted,
     Tabulated,
+    _gradient_raw,
+    _parts_raw,
     el_gradient,
     energy_parts,
     energy_total,
@@ -21,7 +25,7 @@ from lse.energy import (
     residual_original,
     validate_potential,
 )
-from lse.grid import Field, make_grid, norm_h1v, norm_w1p, integrate
+from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v, norm_w1p, quotient_grid, unfold
 
 from conftest import gausson_field, random_field
 
@@ -45,6 +49,23 @@ class TestLogNonlin:
         out = log_nonlin(ts)
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out) <= 2e-6)
+
+    def test_zero_without_a_warning(self):
+        t = np.array([0.0, -0.0, 1.0, -2.5, 1e-300])
+        with np.errstate(divide="raise", invalid="raise"):
+            assert log_nonlin(t)[:2].tolist() == [0.0, 0.0]
+            assert log_density(t)[:2].tolist() == [0.0, 0.0]
+            assert log_nonlin(0.0) == 0.0 and log_density(0.0) == 0.0
+
+    def test_matches_the_xlogy_reference(self):
+        # the former scipy.special.xlogy forms; the two logarithms may
+        # differ in the last bit
+        from scipy.special import xlogy
+
+        t = np.random.default_rng(0).standard_normal(10_000) * np.logspace(-12, 3, 10_000)
+        t[::97] = 0.0
+        np.testing.assert_allclose(log_nonlin(t), 2.0 * xlogy(t, np.abs(t)), rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(log_density(t), 2.0 * xlogy(t * t, np.abs(t)), rtol=4e-16, atol=0.0)
 
 
 class TestLogDensity:
@@ -259,3 +280,43 @@ class TestResidualOriginal:
         rhs = residual_original(grid1d, Harmonic(2.0), scaled).values / mu
         scale = 1.0 + float(np.max(np.abs(lhs)))
         assert float(np.max(np.abs(lhs - rhs))) <= 1e-12 * scale
+
+
+QUOTIENT_SECTORS = [(dim, mirror) for dim in (1, 2, 3) for mirror in itertools.product((1, -1), repeat=dim)]
+
+
+class TestQuotientKernels:
+    """On a quotient grid every kernel equals the full-grid kernel on the
+    unfolded field, in every parity sector."""
+
+    @pytest.mark.parametrize("dim, mirror", QUOTIENT_SECTORS, ids=[str(m) for _, m in QUOTIENT_SECTORS])
+    def test_kernels_match_the_unfolded_full_grid(self, dim, mirror):
+        g = make_grid(dim, 3.0, {1: 24, 2: 10, 3: 6}[dim])
+        q = quotient_grid(g, mirror)
+        upper = (slice(q.points_per_dim, None),) * dim
+        V = Shifted(Harmonic(2.0), 0.5)
+        vq, vf = V.evaluate(q).values, V.evaluate(g).values
+        assert vq.tobytes() == vf.reshape(g.shape)[upper].reshape(-1).tobytes()
+        rng = np.random.default_rng(dim)
+        u = rng.uniform(-2.0, 2.0, q.npoints)
+        u[::7] = 0.0
+        full = unfold(q, u)
+        assert full.grid == g
+        assert full.nd()[upper].reshape(-1).tobytes() == u.tobytes()
+
+        def close(a, b):
+            return abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+        assert close(_h1v_raw(q, vq, u), _h1v_raw(g, vf, full.values))
+        assert close(norm_w1p(q, Field(grid=q, values=u), 1.3), norm_w1p(g, full, 1.3))
+        # point integrals of integrands even in every axis, such as u^2
+        mass_q = integrate(q, Field(grid=q, values=u * u))
+        assert close(mass_q, integrate(g, Field(grid=g, values=full.values**2)))
+        for lam in (0.0, 0.4):
+            params = PerturbationParams(lam=lam, p=1.3)
+            pq, pf = _parts_raw(q, vq, u, params), _parts_raw(g, vf, full.values, params)
+            for name in ("p_grad", "p_mass", "grad_sq", "v_mass", "mass", "log_int"):
+                assert close(getattr(pq, name), getattr(pf, name)), name
+            gq = _gradient_raw(q, vq, u, params)
+            gf = _gradient_raw(g, vf, full.values, params).reshape(g.shape)[upper].reshape(-1)
+            assert float(np.max(np.abs(gq - gf))) <= 1e-13 * float(np.max(np.abs(gf)))

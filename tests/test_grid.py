@@ -16,6 +16,8 @@ from lse.grid import (
     neg_laplacian_apply,
     norm_h1v,
     norm_w1p,
+    quotient_grid,
+    unfold,
 )
 from lse.energy import Tabulated
 
@@ -43,12 +45,34 @@ class TestMakeGrid:
         assert g.spacing == 2 * 2.5 / (9 + 1)
 
     def test_coords_strictly_interior_and_symmetric(self):
-        # the coordinate set is symmetric about 0 for ANY interior count
-        for n in (3, 4, 31, 32):
-            g = make_grid(1, 4.0, n)
-            x = g.axis_coords()
-            assert np.all(np.abs(x) < 4.0)
-            np.testing.assert_allclose(x, -x[::-1], atol=1e-15)
+        # the coordinate set is exactly antisymmetric for ANY interior count
+        for n in (3, 4, 31, 32, 97, 190, 1022):
+            for half_width in (4.0, 6.0, 8.0):
+                g = make_grid(1, half_width, n)
+                x = g.axis_coords()
+                assert np.all(np.abs(x) < half_width)
+                assert np.array_equal(x, -x[::-1])
+
+    @pytest.mark.parametrize("n", [4, 32, 190, 1022])
+    def test_quotient_coords_are_the_upper_half(self, n):
+        g = make_grid(2, 6.0, n)
+        q = quotient_grid(g, (-1, 1))
+        assert q.shape == (n // 2, n // 2) and q.box_points == n
+        assert q.weight == 4.0 * g.spacing**2
+        assert q.axis_coords().tobytes() == g.axis_coords()[n // 2:].tobytes()
+        v = np.arange(q.npoints, dtype=float)
+        full = unfold(q, v).nd()
+        assert full.shape == g.shape
+        assert np.array_equal(full, -np.flip(full, axis=0))
+        assert np.array_equal(full, np.flip(full, axis=1))
+
+    @pytest.mark.parametrize("n, mirror", [(31, (1,)), (32, (1, 1)), (32, (0,)), (32, (-1,))])
+    def test_quotient_needs_an_even_full_grid_and_a_parity_per_axis(self, n, mirror):
+        g = make_grid(1, 4.0, n)
+        if mirror == (-1,):
+            g = quotient_grid(g, mirror)  # no quotient of a quotient
+        with pytest.raises(ValueError):
+            quotient_grid(g, mirror)
 
     @pytest.mark.parametrize("dim", [0, 4, -1])
     def test_dimension_out_of_range(self, dim):

@@ -284,6 +284,25 @@ class TestRun:
         for name in ("u_1.lsef", "diagnostics.csv", "checks.csv", "energy_vs_lambda.dat"):
             assert (outa / name).read_bytes() == (outb / name).read_bytes(), name
 
+    def test_gradient_check_runs_once_per_run(self, tmp_path, monkeypatch):
+        # the check depends on the grid, V, p and rng_seed, not on a solution
+        import lse.io_cli as mod
+
+        calls = []
+        check = mod.check_gradient_fd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "check_gradient_fd", counted)
+        out = tmp_path / "k2"
+        assert run(parse_config(config_text(output_dir=str(out), k_solutions=2)), quiet=True) == 0
+        assert len(calls) == 1
+        rows = [line.split(",") for line in (out / "checks.csv").read_text().splitlines()[1:]]
+        fd_rows = [row[1:] for row in rows if row[1] == "gradient_fd"]
+        assert len(fd_rows) == 2 and fd_rows[0] == fd_rows[1]
+
     def test_emit_gating(self, tmp_path):
         out = tmp_path / "sparse"
         spec = parse_config(config_text(output_dir=str(out), emit="diagnostics"))
@@ -306,6 +325,13 @@ class TestRun:
     def test_fail_config_on_bad_potential_values(self, tmp_path, capsys):
         # odd point count puts a lattice site at the origin where V vanishes
         spec = parse_config(config_text(output_dir=str(tmp_path / "o"), points=31))
+        assert run(spec, quiet=True) == 1
+        assert last_stderr_line(capsys).startswith("FAIL config ")
+
+    @pytest.mark.parametrize("points, dim", [(97, 1), (195, 1), (9, 2), (5, 3)])
+    def test_odd_points_put_the_origin_exactly_on_the_grid(self, tmp_path, capsys, points, dim):
+        # 97 and 195 used to place the middle point at 1e-16 and pass
+        spec = parse_config(config_text(output_dir=str(tmp_path / "o"), points=points, dim=dim))
         assert run(spec, quiet=True) == 1
         assert last_stderr_line(capsys).startswith("FAIL config ")
 

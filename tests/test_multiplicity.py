@@ -7,7 +7,8 @@ import logging
 import numpy as np
 import pytest
 
-from lse.energy import Harmonic, PerturbationParams, Shifted
+import lse.multiplicity as multiplicity_mod
+from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated
 from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v
 from lse.multiplicity import (
     DeflationSet,
@@ -195,3 +196,51 @@ class TestFindKSolutions:
             if "known solution" in rec.message or "did not produce" in rec.message
         ]
         assert folded, "expected at least one rejected or duplicate attempt in the log"
+
+
+class TestParitySectors:
+    """find_k_solutions solves each seed on the quotient grid of its sector when
+    the grid and V are mirror-symmetric, and on the full grid otherwise."""
+
+    @staticmethod
+    def recorded_solves(monkeypatch):
+        calls = []
+        solve = multiplicity_mod.continue_to_limit
+
+        def recorded(g, potential, *args, **kwargs):
+            out = solve(g, potential, *args, **kwargs)
+            calls.append((g, out[1]))
+            return out
+
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", recorded)
+        return calls
+
+    def test_seeds_alternate_axis_zero_parity_on_quotient_grids(self, monkeypatch):
+        g = make_grid(2, 5.0, 40)
+        calls = self.recorded_solves(monkeypatch)
+        sols = find_k_solutions(
+            g, V_SHIFTED, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 2,
+        )
+        assert [qg.mirror for qg, _ in calls] == [(1, 1), (-1, 1)]
+        assert all(qg.points_per_dim == 20 for qg, _ in calls)
+        # the reports are the solver's own objects; the fields are unfolded
+        assert {id(rep) for _, _, rep in sols} == {id(rep) for _, rep in calls}
+        for u, _, _ in sols:
+            assert u.grid == g
+        odd = sols[1][0].nd()
+        assert np.array_equal(odd, -np.flip(odd, axis=0))
+        assert np.array_equal(odd, np.flip(odd, axis=1))
+
+    @pytest.mark.parametrize("points, asymmetric", [(31, False), (32, True)])
+    def test_full_grid_without_mirror_symmetry(self, monkeypatch, points, asymmetric):
+        g = make_grid(1, 6.0, points)
+        vals = V_SHIFTED.evaluate(g).values.copy()
+        if asymmetric:
+            vals[0] += 1e-3
+        calls = self.recorded_solves(monkeypatch)
+        sols = find_k_solutions(
+            g, Tabulated(values=Field(grid=g, values=vals)), ContinuationSchedule(),
+            PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 1,
+        )
+        assert len(sols) == 1 and sols[0][0].grid == g
+        assert [qg for qg, _ in calls] == [g]

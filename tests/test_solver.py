@@ -8,8 +8,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import lse.solver as solver_mod
-from lse.energy import _GRAD_REG_EPS, Harmonic, PerturbationParams, Shifted, _gradient_raw, el_gradient, energy_total
-from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p
+from lse.energy import (
+    _GRAD_REG_EPS,
+    Harmonic,
+    PerturbationParams,
+    Shifted,
+    _gradient_raw,
+    el_gradient,
+    energy_total,
+)
+from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p, quotient_grid
 from lse.multiplicity import DeflationSet, structured_seed
 from lse.solver import (
     CollapseError,
@@ -165,6 +173,12 @@ def _assert_bit_equal(got, want):
 
 
 STENCIL_GRIDS = [(1, 24), (2, 9), (3, 5)]
+# (dim, full n, mirror): every dimension with all-even, all-odd and mixed faces
+QUOTIENT_GRIDS = [
+    (dim, n, mirror)
+    for dim, n in [(1, 24), (2, 10), (3, 8)]
+    for mirror in dict.fromkeys([(1,) * dim, (-1,) * dim, (-1, 1, -1)[:dim], (1, -1, 1)[:dim]])
+]
 
 
 class TestStepOperators:
@@ -172,11 +186,14 @@ class TestStepOperators:
     into one cached stencil pattern per grid."""
 
     @staticmethod
-    def smooth_state(dim, n):
+    def smooth_state(dim, n, mirror=()):
         # at least 2 and increasing along every axis: u and its edge
         # differences stay away from zero, where the log and p terms are
-        # not smooth on the scale of a finite difference
+        # not smooth on the scale of a finite difference (an even mirror
+        # edge is exactly 0 whatever u is)
         g = make_grid(dim, 3.0, n)
+        if mirror:
+            g = quotient_grid(g, mirror)
         rng = np.random.default_rng(dim)
         nd = 2.0 + 0.1 * np.indices(g.shape).sum(axis=0) + 0.03 * rng.random(g.shape)
         return g, V_HARMONIC.evaluate(g).values, nd.reshape(-1)
@@ -184,13 +201,31 @@ class TestStepOperators:
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
     def test_newton_matrix_is_the_jacobian(self, dim, n, lam):
-        g, vvals, u = self.smooth_state(dim, n)
+        self.check_newton_matrix(dim, n, (), lam)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    @pytest.mark.parametrize("dim, n, mirror", QUOTIENT_GRIDS)
+    def test_newton_matrix_is_the_jacobian_on_quotient_grids(self, dim, n, mirror, lam):
+        self.check_newton_matrix(dim, n, mirror, lam)
+
+    def check_newton_matrix(self, dim, n, mirror, lam):
+        g, vvals, u = self.smooth_state(dim, n, mirror)
         params = PerturbationParams(lam=lam, p=1.5)
         v = np.random.default_rng(1).standard_normal(g.npoints)
         t = 1e-5
         fd = (_gradient_raw(g, vvals, u + t * v, params) - _gradient_raw(g, vvals, u - t * v, params)) / (2.0 * t)
         jv = solver_mod._newton_matrix(g, vvals, u, params) @ v
         assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+
+    @pytest.mark.parametrize("dim, n, mirror", QUOTIENT_GRIDS)
+    def test_preconditioner_solves_the_lambda_zero_step_operator(self, dim, n, mirror):
+        # the fixed operator's face diagonal against the mirror rows of the
+        # step operator; every quotient grid here is factored
+        g, vvals, u = self.smooth_state(dim, n, mirror)
+        rhs = np.random.default_rng(3).standard_normal(g.npoints)
+        z = Preconditioner(g, V_HARMONIC).solve(rhs)
+        back = solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0)) @ z
+        assert float(np.max(np.abs(back - rhs))) <= 1e-10 * float(np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
     def test_linearized_matrix_at_lambda_zero_is_the_fixed_operator(self, dim, n):
@@ -249,6 +284,31 @@ class TestStepOperators:
         pre = Preconditioner(g, V_SHIFTED)
         got = factored[0] if factored else pre._op  # 3d keeps the operator for CG
         _assert_bit_equal(got, _kron_fixed_operator(g, V_SHIFTED.evaluate(g).values))
+
+
+class TestRayPeak:
+    @pytest.mark.parametrize("lam", [1.0, 1e-4])
+    def test_peak_is_the_root_of_the_ray_derivative(self, lam):
+        # the brentq root that the safeguarded Newton iteration replaced
+        from scipy.optimize import brentq
+
+        g = make_grid(2, 4.0, 20)
+        vvals = V_HARMONIC.evaluate(g).values
+        rng = np.random.default_rng(5)
+        for p in (1.05, 1.5, 1.95):
+            params = PerturbationParams(lam=lam, p=p)
+            for scale in (1e-3, 1.0, 30.0):
+                parts = solver_mod._parts_raw(g, vvals, scale * rng.standard_normal(g.npoints), params)
+
+                def psi(t):
+                    return (
+                        lam * t ** (p - 2.0) * (parts.p_grad + parts.p_mass)
+                        + parts.grad_sq + parts.v_mass - parts.log_int - 2.0 * parts.mass * np.log(t)
+                    )
+
+                t = solver_mod._ray_peak_factor(parts, params)
+                want = brentq(psi, t / 4.0, t * 4.0, xtol=1e-300, rtol=8.9e-16)
+                assert t == pytest.approx(want, rel=1e-14)
 
 
 class TestSeedAndGeometry:
@@ -416,16 +476,13 @@ class TestNewtonFinish:
         assert all(b < a for a, b in zip(resid, resid[1:]))
 
     def test_deflated_newton_steps_count_against_the_budget(self):
-        # this start enters the Newton finish after one descent step and
-        # needs three more steps; the budget stops it after one
-        g = make_grid(1, 4.0, 32)
-        ds = DeflationSet(grid=g, potential=V_HARMONIC, solutions=[gausson_field(g)])
+        # on the odd quotient grid this start enters the Newton finish at
+        # once and needs two steps; the budget stops it after one
+        g = quotient_grid(make_grid(1, 4.0, 32), (-1,))
+        ds = DeflationSet(grid=g, potential=V_HARMONIC, solutions=[structured_seed(g, 4, V_HARMONIC)])
         u0 = Field(grid=g, values=20.0 * structured_seed(g, 2, V_HARMONIC).values)
-        cfg = MountainPassConfig(max_outer=2)
-        res = descend(
-            g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), cfg,
-            deflation=ds, symmetry="odd",
-        )
+        cfg = MountainPassConfig(max_outer=1)
+        res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), cfg, deflation=ds)
         assert res.newton_steps >= 1
         assert res.iterations <= cfg.max_outer
         assert not res.converged
