@@ -21,8 +21,7 @@ point:
 Every function here works on a full grid and on a quotient grid of one
 parity sector alike (see :mod:`lse.grid`): the kernels carry the mirror
 faces, and the operators add the mirror edge to their face diagonals.  A
-quotient grid is factored in every dimension (up to ``_QUOTIENT_3D_LIMIT``
-unknowns in 3d), and its iterates stay in their sector exactly, since the
+quotient grid is factored in every dimension, and its iterates stay in their sector exactly, since the
 sector is the space they live in.
 
 Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
@@ -207,16 +206,12 @@ class MountainPassResult:
 # sparse factorizations and the preconditioner
 
 _DIRECT_LIMIT = 120_000  # unknowns; beyond this fall back to conjugate gradients
-# Largest 3d quotient grid (unknowns) whose operators are factored.  A full
-# 3d grid keeps Jacobi-CG for its step and fixed operators: factoring them
-# costs about 80 ms at n=14 and 514 ms at n=20 per factorization.
-_QUOTIENT_3D_LIMIT = 20**3
 
 
 def _factors(g: Grid) -> bool:
     """Whether the step and fixed operators on g are factored (planar grids
-    and small 3d quotient grids) rather than solved by Jacobi-CG."""
-    return g.dim <= 2 or (bool(g.mirror) and g.npoints <= _QUOTIENT_3D_LIMIT)
+    and quotient grids) rather than solved by Jacobi-CG (full 3d grids)."""
+    return g.dim <= 2 or bool(g.mirror)
 
 
 # Minimum degree on the pattern of A^T + A.  Every operator factored here is
@@ -255,7 +250,7 @@ class Preconditioner:
     iterate-dependent operator ``_linearized_matrix`` instead, and the
     Newton finish solves with the Jacobian ``_newton_matrix``; ``descend``
     factors both apart from these, at the current iterate (see the module
-    docstring).  Planar problems and small 3d quotient grids use a sparse
+    docstring).  Planar problems and quotient grids use a sparse
     LU factorization (one factorize, many cheap solves, bit-reproducible);
     full 3d grids and very large ones fall back to diagonally
     preconditioned conjugate gradients at rtol 1e-10.

@@ -476,13 +476,16 @@ class TestNewtonFinish:
         assert all(b < a for a, b in zip(resid, resid[1:]))
 
     def test_deflated_newton_steps_count_against_the_budget(self):
-        # on the odd quotient grid this start enters the Newton finish at
-        # once and needs two steps; the budget stops it after one
+        # on the odd quotient grid this start enters the Newton finish after
+        # one descent step and needs three more steps; the budget stops it
+        # after one
         g = quotient_grid(make_grid(1, 4.0, 32), (-1,))
         ds = DeflationSet(grid=g, potential=V_HARMONIC, solutions=[structured_seed(g, 4, V_HARMONIC)])
-        u0 = Field(grid=g, values=20.0 * structured_seed(g, 2, V_HARMONIC).values)
-        cfg = MountainPassConfig(max_outer=1)
+        seed = structured_seed(g, 2, V_HARMONIC).values + 0.5 * structured_seed(g, 6, V_HARMONIC).values
+        u0 = Field(grid=g, values=20.0 * seed)
+        cfg = MountainPassConfig(max_outer=2)
         res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), cfg, deflation=ds)
+        assert res.iterations - res.newton_steps >= 1
         assert res.newton_steps >= 1
         assert res.iterations <= cfg.max_outer
         assert not res.converged
