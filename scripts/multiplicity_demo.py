@@ -3,11 +3,12 @@
 
 Runs the k-solution driver on the 1d harmonic problem and prints, for each
 accepted solution: its limit energy, sign-change count (nodal structure),
-the final residual, and the deflation/restart statistics.  Then prints the
-pairwise H^1_V distance matrix (modulo sign) to show the solutions are
-genuinely distinct, and the theta proxy trend: at a critical point the
-energy equals half the mass integral, so theta_j = 2 I(u_j) / ||u_j||_2^2
-should sit at 1 for every j while I(u_j) grows with j.
+the final residual, and its descent iterations summed over the lambda
+stages.  Then prints the pairwise H^1_V distance matrix (modulo sign) to
+show the solutions are genuinely distinct, and the theta proxy trend: at a
+critical point the energy equals half the mass integral, so
+theta_j = 2 I(u_j) / ||u_j||_2^2 should sit at 1 for every j while I(u_j)
+grows with j.
 
 Usage:
     python3 scripts/multiplicity_demo.py
@@ -61,14 +62,14 @@ def main() -> int:
           f"(n={args.points}, potential={args.potential})")
 
     vol = g.spacing
-    print(f"{'j':>3} {'energy':>18} {'nodes':>6} {'theta':>10} {'resid_raw':>11} {'restarts':>9}")
+    print(f"{'j':>3} {'energy':>18} {'nodes':>6} {'theta':>10} {'resid_raw':>11} {'iters':>6}")
     for j, (u, energy, report) in enumerate(solutions, start=1):
         mass = vol * float(np.dot(u.values, u.values))
         theta = 2.0 * energy / mass
         nodes = sign_changes(u.values)
         rec = report.records[-1]
         print(f"{j:>3} {energy:>18.10f} {nodes:>6} {theta:>10.6f} {rec.resid_raw:>11.3e} "
-              f"{report.restarts:>9}")
+              f"{sum(r.iterations for r in report.records):>6}")
 
     print("\n# pairwise H^1_V distance, modulo sign")
     k = len(solutions)

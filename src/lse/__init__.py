@@ -64,7 +64,6 @@ from .solver import (
     continue_to_limit,
     default_seed,
     descend,
-    find_t0,
     mountain_pass,
 )
 from .verify import (
@@ -118,7 +117,6 @@ __all__ = [
     "energy_parts",
     "energy_total",
     "find_k_solutions",
-    "find_t0",
     "forward_gradient",
     "integrate",
     "log_density",

@@ -339,6 +339,12 @@ def _run_checks(g: Grid, potential, u: Field, spec: RunSpec, gradient: CheckResu
     ]
 
 
+def _failed_gate(results: list[CheckResult]) -> CheckResult | None:
+    """The first check of ``_GATE_CHECKS`` that ``results`` fail, if any."""
+    named = {res.name: res for res in results}
+    return next((named[gate] for gate in _GATE_CHECKS if not named[gate].passed), None)
+
+
 def _diagnostics_text(solutions) -> str:
     lines = ["j,lambda,energy,resid_precond,resid_raw,iters,mass,lambda_w1p_p,linf"]
     for j, (_, _, report) in enumerate(solutions, start=1):
@@ -432,15 +438,13 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
                 f"resid_raw={report.records[-1].resid_raw!r} checks={verdict}"
             )
 
-    by_name = [{res.name: res for res in results} for results in all_checks]
-    for j, named in enumerate(by_name, start=1):
-        for gate in _GATE_CHECKS:
-            res = named[gate]
-            if not res.passed:
-                return _fail(
-                    "verify",
-                    f"solution {j} failed {gate} (margin={res.margin!r}, tolerance={res.tolerance!r})",
-                )
+    for j, results in enumerate(all_checks, start=1):
+        res = _failed_gate(results)
+        if res is not None:
+            return _fail(
+                "verify",
+                f"solution {j} failed {res.name} (margin={res.margin!r}, tolerance={res.tolerance!r})",
+            )
     return 0
 
 
@@ -495,14 +499,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("check_name,margin,tolerance,pass")
         for res in results:
             print(f"{res.name},{res.margin!r},{res.tolerance!r},{int(res.passed)}")
-    named = {res.name: res for res in results}
-    for gate in _GATE_CHECKS:
-        if not named[gate].passed:
-            return _fail(
-                "verify",
-                f"field failed {gate} (margin={named[gate].margin!r}, "
-                f"tolerance={named[gate].tolerance!r})",
-            )
+    res = _failed_gate(results)
+    if res is not None:
+        return _fail(
+            "verify", f"field failed {res.name} (margin={res.margin!r}, tolerance={res.tolerance!r})"
+        )
     return 0
 
 

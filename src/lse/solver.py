@@ -35,10 +35,10 @@ Energy is nonincreasing across the accepted Armijo steps (recorded in
 *up* to the ridge by construction, and the Newton steps are monotone in
 the residual instead.
 
-``mountain_pass`` builds the ray path s -> s * t0 * e through a seed
-profile, starts the descent at the discrete path peak, and guards against
-collapse to zero.  ``continue_to_limit`` drives lam down a geometric
-schedule with warm starts and finishes with a lam = 0 solve.
+``mountain_pass`` starts the descent at the exact peak of the ray through
+a seed profile, the maximum of I_lam over the path t -> t * e from 0.
+``continue_to_limit`` drives lam down a geometric schedule with warm
+starts and finishes with a lam = 0 solve.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "CollapseError",
     "ConvergenceFailure",
     "default_seed",
-    "find_t0",
     "check_geometry",
     "descend",
     "mountain_pass",
@@ -87,7 +86,7 @@ class SolverError(RuntimeError):
 
 
 class GeometryFailure(SolverError):
-    """The ray geometry needed by the path construction is absent."""
+    """The seed ray has no point of negative energy to end a path at."""
 
 
 class CollapseError(SolverError):
@@ -98,8 +97,6 @@ class ConvergenceFailure(SolverError):
     """Residual tolerance not reached within the iteration budget."""
 
 
-# Segments of the discrete ray path that ``mountain_pass`` starts from.
-_PATH_SEGMENTS = 32
 # Armijo sufficient-decrease constant, step ratio per backtrack, and the
 # backtracks after which ``descend`` reports a stagnated line search.
 _ARMIJO_C1 = 1e-4
@@ -113,7 +110,7 @@ _SUBSPACE_MAX_INNER = 10
 class MountainPassConfig:
     """Stopping rule of every descent: the preconditioned residual at which
     it has converged and its iteration budget, Newton steps included.  The
-    path and line-search settings are the module constants above."""
+    line-search settings are the module constants above."""
 
     descent_tol: float = 1e-6
     max_outer: int = 500
@@ -178,7 +175,6 @@ class SolveReport:
     energy_mass_defect: float = float("nan")
     m2_estimate: float = float("nan")
     wall_time: float = 0.0
-    restarts: int = 0
 
 
 @dataclass
@@ -198,7 +194,6 @@ class MountainPassResult:
     field: Field
     c_lambda: float
     path_max: float
-    restarts: int
     descent: DescentResult
 
 
@@ -482,21 +477,6 @@ def _subspace_local_max(
     return q @ c
 
 
-def find_t0(g: Grid, potential, e: Field, params: PerturbationParams) -> float:
-    """Smallest t in the doubling family {1, 2, 4, ...} with I_lam(t e) < 0."""
-    if not float(np.abs(e.values).max()) > 0.0:
-        raise ValueError("seed profile is identically zero")
-    vvals = potential.evaluate(g).values
-    t = 1.0
-    for _ in range(61):
-        if _parts_raw(g, vvals, t * e.values, params).total < 0.0:
-            return t
-        t *= 2.0
-    raise GeometryFailure(
-        "no negative-energy point on the seed ray within 2^60 doublings (degenerate seed)"
-    )
-
-
 def check_geometry(
     g: Grid,
     potential,
@@ -600,19 +580,18 @@ def descend(
     cfg: MountainPassConfig,
     *,
     deflation=None,
-    ray_rescale: bool = True,
     mass_floor: float = 0.0,
     precond: Preconditioner | None = None,
 ) -> DescentResult:
-    """Preconditioned Armijo descent, optionally ray-stabilized, finished
-    by damped Newton.
+    """Preconditioned Armijo descent, ray-stabilized, finished by damped
+    Newton.
 
     Terminates when the preconditioned residual (weighted Sobolev norm of
-    the direction z) drops to cfg.descent_tol, or at cfg.max_outer.  With
-    ``ray_rescale`` the iterate is moved to the peak of its own ray before
-    every step (or to the nearby in-span stationary point when deflation
-    stores previous solutions).  Once the residual is at most
-    ``_NEWTON_RESID`` the rest of the budget goes to ``_newton_polish``.
+    the direction z) drops to cfg.descent_tol, or at cfg.max_outer.  Before
+    every step a nonzero iterate is moved to the peak of its own ray (or to
+    the nearby in-span stationary point when deflation stores previous
+    solutions).  Once the residual is at most ``_NEWTON_RESID`` the rest of
+    the budget goes to ``_newton_polish``.
     ``deflation`` may supply a ``step_scale(u_flat)`` factor (see the
     deflation operator); ``mass_floor`` aborts with the collapsed flag when
     the iterate's mass integral falls below it.
@@ -627,7 +606,7 @@ def descend(
     span = [s.values for s in deflation.solutions] if deflation is not None else []
     lu = _Factorization()
     for _ in range(cfg.max_outer + 1):
-        if ray_rescale and float((u * u).sum()) > 0.0:
+        if float((u * u).sum()) > 0.0:
             if span:
                 u = _subspace_local_max(g, vvals, u, params, span, 0.1 * cfg.descent_tol)
             else:
@@ -697,6 +676,19 @@ def descend(
 _MASS_FLOOR = 1e-8
 
 
+def _raise_unless_converged(res: DescentResult, lam: float, what: str) -> None:
+    """Raise CollapseError or ConvergenceFailure unless the descent ``res``
+    at lam converged; ``what`` names the descent in the message."""
+    if res.collapsed:
+        raise CollapseError(f"iterate collapsed to zero at lam={lam:g}")
+    if not res.converged:
+        extra = " (line search stagnated)" if res.stagnated else ""
+        raise ConvergenceFailure(
+            f"{what} stopped at residual {res.residual:.3e} after "
+            f"{res.iterations} iterations{extra}"
+        )
+
+
 def mountain_pass(
     g: Grid,
     potential,
@@ -707,52 +699,34 @@ def mountain_pass(
     deflation=None,
     precond: Preconditioner | None = None,
 ) -> MountainPassResult:
-    """Peak-of-path search for a critical point at fixed lam.
+    """Mountain-pass search for a critical point at fixed lam.
 
-    Builds the ray path s * t0 * e on ``_PATH_SEGMENTS`` segments through
-    the seed e (``default_seed`` unless given), descends from the discrete
-    peak (smallest index on ties), restarting with a doubled t0 if the
-    iterate collapses to zero (at most three restarts).
+    Descends from u0 = t* e, the peak of the ray through the seed e
+    (``default_seed`` unless given); ``path_max`` = I_lam(u0) is the exact
+    maximum over the path t -> t e from 0.  Raises ValueError for a zero
+    seed and GeometryFailure if I_lam(2^60 e) >= 0: the ray profile crosses
+    zero once, so then no point of the ray up to 2^60 e is negative.
     """
     validate_potential(g, potential)
     if params.lam <= 0.0:
         raise ValueError("mountain pass requires lam > 0 (use continue_to_limit for lam -> 0)")
-    e = seed if seed is not None else default_seed(g, potential)
+    e = (seed if seed is not None else default_seed(g, potential)).values
+    if not float(np.abs(e).max()) > 0.0:
+        raise ValueError("seed profile is identically zero")
     vvals = potential.evaluate(g).values
-    t0 = find_t0(g, potential, e, params)
-    if precond is None:
-        precond = Preconditioner(g, potential)
-    restarts = 0
-    while True:
-        s = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1)
-        energies = [
-            _parts_raw(g, vvals, sk * t0 * e.values, params).total for sk in s
-        ]
-        k_peak = int(np.argmax(energies))
-        path_max = float(energies[k_peak])
-        u0 = Field(grid=g, values=s[k_peak] * t0 * e.values)
-        res = descend(
-            g, potential, u0, params, cfg,
-            deflation=deflation, ray_rescale=True, mass_floor=_MASS_FLOOR,
-            precond=precond,
+    if not _parts_raw(g, vvals, 2.0**60 * e, params).total < 0.0:
+        raise GeometryFailure(
+            "no negative-energy point on the seed ray within 2^60 doublings (degenerate seed)"
         )
-        if res.collapsed:
-            restarts += 1
-            if restarts > 3:
-                raise GeometryFailure("repeated collapse to zero after 3 restarts")
-            t0 *= 2.0
-            continue
-        if not res.converged:
-            extra = " (line search stagnated)" if res.stagnated else ""
-            raise ConvergenceFailure(
-                f"mountain pass stopped at residual {res.residual:.3e} after "
-                f"{res.iterations} iterations{extra}"
-            )
-        c_lam = _parts_raw(g, vvals, res.field.values, params).total
-        return MountainPassResult(
-            field=res.field, c_lambda=c_lam, path_max=path_max,
-            restarts=restarts, descent=res,
-        )
+    u0 = _ray_peak_factor(_parts_raw(g, vvals, e, params), params) * e
+    path_max = _parts_raw(g, vvals, u0, params).total
+    res = descend(
+        g, potential, Field(grid=g, values=u0), params, cfg,
+        deflation=deflation, mass_floor=_MASS_FLOOR, precond=precond,
+    )
+    _raise_unless_converged(res, params.lam, "mountain pass")
+    c_lam = _parts_raw(g, vvals, res.field.values, params).total
+    return MountainPassResult(field=res.field, c_lambda=c_lam, path_max=path_max, descent=res)
 
 
 def _stage_record(g, vvals, u: np.ndarray, params, res: DescentResult) -> LambdaRecord:
@@ -808,7 +782,6 @@ def continue_to_limit(
     mp = mountain_pass(g, potential, par, cfg, seed=seed, deflation=defl(0), precond=precond)
     u = mp.field.values
     report.m2_estimate = mp.path_max
-    report.restarts = mp.restarts
     report.records.append(_stage_record(g, vvals, u, par, mp.descent))
     report.trajectory.append(mp.field)
 
@@ -816,17 +789,9 @@ def continue_to_limit(
         par = replace(params, lam=lam)
         res = descend(
             g, potential, Field(grid=g, values=u), par, cfg,
-            deflation=defl(i), ray_rescale=True, mass_floor=_MASS_FLOOR,
-            precond=precond,
+            deflation=defl(i), mass_floor=_MASS_FLOOR, precond=precond,
         )
-        if res.collapsed:
-            raise CollapseError(f"iterate collapsed to zero at lam={lam:g}")
-        if not res.converged:
-            extra = " (line search stagnated)" if res.stagnated else ""
-            raise ConvergenceFailure(
-                f"continuation stage lam={lam:g} stopped at residual "
-                f"{res.residual:.3e} after {res.iterations} iterations{extra}"
-            )
+        _raise_unless_converged(res, lam, f"continuation stage lam={lam:g}")
         u = res.field.values
         report.records.append(_stage_record(g, vvals, u, par, res))
         report.trajectory.append(res.field)

@@ -31,7 +31,6 @@ from lse.solver import (
     continue_to_limit,
     default_seed,
     descend,
-    find_t0,
     mountain_pass,
 )
 
@@ -316,35 +315,6 @@ class TestSeedAndGeometry:
         e = default_seed(grid1d, V_HARMONIC)
         assert norm_h1v(grid1d, V_HARMONIC, e) == pytest.approx(1.0, rel=1e-12)
 
-    def test_find_t0_doubling_contract(self, grid_mid):
-        e = default_seed(grid_mid, V_SHIFTED)
-        params = PerturbationParams(lam=1.0, p=1.5)
-        t0 = find_t0(grid_mid, V_SHIFTED, e, params)
-        assert t0 >= 2.0 and t0 == 2.0 ** round(np.log2(t0))
-        scaled = Field(grid=grid_mid, values=t0 * e.values)
-        assert energy_total(grid_mid, V_SHIFTED, scaled, params) < 0.0
-        half = Field(grid=grid_mid, values=0.5 * t0 * e.values)
-        assert energy_total(grid_mid, V_SHIFTED, half, params) >= 0.0
-
-    def test_find_t0_doubled_seed_halves(self, grid_mid):
-        e = default_seed(grid_mid, V_SHIFTED)
-        params = PerturbationParams(lam=1.0, p=1.5)
-        t0 = find_t0(grid_mid, V_SHIFTED, e, params)
-        doubled = Field(grid=grid_mid, values=2.0 * e.values)
-        t0_doubled = find_t0(grid_mid, V_SHIFTED, doubled, params)
-        assert t0 / 4.0 <= t0_doubled <= t0
-
-    def test_find_t0_lambda_zero_allowed(self, grid_mid):
-        e = default_seed(grid_mid, V_HARMONIC)
-        t0 = find_t0(grid_mid, V_HARMONIC, e, PerturbationParams(lam=0.0))
-        scaled = Field(grid=grid_mid, values=t0 * e.values)
-        assert energy_total(grid_mid, V_HARMONIC, scaled, PerturbationParams(lam=0.0)) < 0.0
-
-    def test_find_t0_zero_seed_rejected(self, grid1d):
-        z = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
-        with pytest.raises(ValueError):
-            find_t0(grid1d, V_HARMONIC, z, PerturbationParams(lam=1.0))
-
     def test_geometry_positive_at_small_radius(self, grid_mid):
         params = PerturbationParams(lam=1.0, p=1.5)
         alpha = check_geometry(grid_mid, V_HARMONIC, params, 0.5, 200, rng_seed=0)
@@ -393,10 +363,11 @@ class TestDescend:
         rng = np.random.default_rng(123)
         for _ in range(20):
             u0 = random_field(grid1d, rng, scale=2.0)
-            res = descend(grid1d, V_HARMONIC, u0, params, cfg, ray_rescale=False)
-            energies = [e0 for e0, _ in res.energy_steps] + [res.energy_steps[-1][1]]
-            diffs = np.diff(energies)
-            assert np.all(diffs <= 1e-10 * (1.0 + np.abs(energies[:-1])))
+            res = descend(grid1d, V_HARMONIC, u0, params, cfg)
+            # the ray rescale before each step moves back up to the ridge, so
+            # the energy falls within each Armijo step, not across them
+            assert res.energy_steps
+            assert all(e1 <= e0 for e0, e1 in res.energy_steps)
 
     def test_mass_floor_reports_collapse(self, grid1d):
         u0 = random_field(grid1d, np.random.default_rng(3), scale=1e-3)
@@ -406,7 +377,6 @@ class TestDescend:
             u0,
             PerturbationParams(lam=1.0),
             MountainPassConfig(max_outer=50),
-            ray_rescale=False,
             mass_floor=1e6,
         )
         assert res.collapsed
@@ -518,6 +488,57 @@ class TestMountainPass:
         assert flipped.c_lambda == pytest.approx(mp_result.c_lambda, rel=1e-10)
         assert float(np.max(np.abs(flipped.field.values + mp_result.field.values))) <= 1e-9
 
+    def test_zero_seed_rejected(self, grid1d):
+        z = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
+        with pytest.raises(ValueError):
+            mountain_pass(grid1d, V_HARMONIC, PerturbationParams(lam=1.0), MountainPassConfig(), seed=z)
+
+    def test_alternating_seed_is_degenerate(self):
+        # the gradient energy of (-1)^i outweighs the log term up to 2^60
+        g = make_grid(1, 8.0, 1022)
+        alt = Field(grid=g, values=(-1.0) ** np.arange(g.npoints))
+        with pytest.raises(GeometryFailure):
+            mountain_pass(g, V_HARMONIC, PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), seed=alt)
+
+    @staticmethod
+    def start_of_descent(monkeypatch, g, params):
+        """Run mountain_pass on g; return its result, the field its descent
+        starts from, and the energy evaluations made before that."""
+        calls = []
+        starts = []
+        parts_raw, descend_fn = solver_mod._parts_raw, solver_mod.descend
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return parts_raw(*args, **kwargs)
+
+        def recorded(g, potential, u0, *args, **kwargs):
+            starts.append((u0.values.copy(), len(calls)))
+            return descend_fn(g, potential, u0, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_parts_raw", counted)
+        monkeypatch.setattr(solver_mod, "descend", recorded)
+        res = mountain_pass(g, V_SHIFTED, params, MountainPassConfig())
+        (u0, evals), = starts
+        return res, u0, evals
+
+    def test_start_is_the_peak_of_the_seed_ray(self, grid_mid, monkeypatch):
+        g, params = grid_mid, PerturbationParams(lam=1.0, p=1.5)
+        res, u0, _ = self.start_of_descent(monkeypatch, g, params)
+
+        def energy(s):
+            return energy_total(g, V_SHIFTED, Field(grid=g, values=s * u0), params)
+
+        assert res.path_max == energy(1.0)
+        assert all(res.path_max >= energy(s) for s in np.arange(1, 4001) / 1000.0)
+        assert any(energy(2.0**k) < 0.0 for k in range(61))
+
+    def test_start_costs_at_most_three_energy_evaluations(self, grid_mid, monkeypatch):
+        # the seed, its ray peak and the degenerate-ray test; a sampled
+        # path would cost one evaluation per point
+        _, _, evals = self.start_of_descent(monkeypatch, grid_mid, PerturbationParams(lam=1.0, p=1.5))
+        assert evals <= 3
+
     def test_lambda_zero_rejected(self, grid_mid):
         with pytest.raises(ValueError):
             mountain_pass(
@@ -526,9 +547,8 @@ class TestMountainPass:
 
     def test_warm_start_comparable_to_cold(self, grid_mid):
         # both starts are close enough for the Newton finish to converge in
-        # a few steps (cold 4, warm 3), so the warm start's payoff is
-        # skipping the path construction, not halving the descent; assert
-        # comparability
+        # a few steps (cold 4, warm 3), so the warm start does not halve the
+        # descent; assert comparability
         cfg = MountainPassConfig()
         warm_source = mountain_pass(
             grid_mid, V_SHIFTED, PerturbationParams(lam=1.0, p=1.5), cfg
