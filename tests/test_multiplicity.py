@@ -181,21 +181,50 @@ class TestFindKSolutions:
         assert diff <= 1e-8
         assert single[0][1] == pytest.approx(rep.records[-1].energy, rel=1e-10)
 
-    def test_sign_flips_identified_as_duplicates(self, gmid, caplog):
-        # even-parity seeds beyond j=1 re-enter the ground basin (possibly
-        # with flipped sign); the driver must fold them onto the stored
-        # solution rather than report new ones
-        sched = ContinuationSchedule()
-        params = PerturbationParams(lam=1.0, p=1.5)
-        cfg = MountainPassConfig()
+    def test_ladder_takes_one_attempt_per_solution(self, monkeypatch):
+        # the ladder_1d shape: seeds 3 and 4 must give nodes 2 and 3 directly
+        # instead of returning to the solutions of seeds 1 and 2
+        g = make_grid(1, 8.0, 1022)
+        calls = []
+        solve = multiplicity_mod.continue_to_limit
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", counted)
+        sols = find_k_solutions(
+            g, Shifted(Harmonic(2.0), 0.3), ContinuationSchedule(),
+            PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 4,
+        )
+        assert len(calls) == 4
+        assert [_sign_changes(u.values) for u, _, _ in sols] == [0, 1, 2, 3]
+
+    def test_sign_flips_identified_as_duplicates(self, gmid, monkeypatch, caplog):
+        # seed 3 (the even sector again) is made to return the negated
+        # solution of seed 1; the driver must fold it onto the stored one
+        outs = []
+        solve = multiplicity_mod.continue_to_limit
+
+        def flipped(*args, **kwargs):
+            if len(outs) == 2:
+                u, rep = outs[0]
+                out = (Field(grid=u.grid, values=-u.values), rep)
+            else:
+                out = solve(*args, **kwargs)
+            outs.append(out)
+            return out
+
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", flipped)
         with caplog.at_level(logging.INFO, logger="lse.multiplicity"):
-            sols = find_k_solutions(gmid, V_SHIFTED, sched, params, cfg, 3)
+            sols = find_k_solutions(
+                gmid, V_SHIFTED, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5),
+                MountainPassConfig(), 3,
+            )
         assert len(sols) == 3
-        folded = [
-            rec for rec in caplog.records
-            if "known solution" in rec.message or "did not produce" in rec.message
-        ]
-        assert folded, "expected at least one rejected or duplicate attempt in the log"
+        assert sum(rep is outs[0][1] for _, _, rep in sols) == 1
+        folded = [rec.message for rec in caplog.records if "known solution" in rec.message]
+        assert "seed 3 converged to a known solution (distance 0.000e+00)" in folded
 
 
 class TestParitySectors:

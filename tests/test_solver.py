@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import lse.solver as solver_mod
 from lse.energy import (
@@ -285,6 +284,53 @@ class TestStepOperators:
         _assert_bit_equal(got, _kron_fixed_operator(g, V_SHIFTED.evaluate(g).values))
 
 
+class TestBandedFactorization:
+    """Narrow-band step and Newton operators are factored by LAPACK banded
+    LU, which must solve what SuperLU solves."""
+
+    @pytest.mark.parametrize("matrix", ["_linearized_matrix", "_newton_matrix"])
+    @pytest.mark.parametrize(
+        "dim, n, mirror", [(dim, n, ()) for dim, n in STENCIL_GRIDS] + QUOTIENT_GRIDS
+    )
+    def test_banded_solve_matches_superlu(self, dim, n, mirror, matrix):
+        g = make_grid(dim, 3.0, n)
+        if mirror:
+            g = quotient_grid(g, mirror)
+        vvals = V_HARMONIC.evaluate(g).values
+        rng = np.random.default_rng(dim)
+        u = 3.0 * rng.standard_normal(g.npoints)
+        u[::5] = 0.0  # log-term curvature at its 1e-300 floor
+        a = getattr(solver_mod, matrix)(g, vvals, u, PerturbationParams(lam=0.1, p=1.5))
+        rhs = rng.standard_normal(g.npoints)
+        banded = solver_mod._BandedFactorization(g.dim, g.points_per_dim)
+        superlu = solver_mod._Factorization()
+        banded.factor(a)
+        superlu.factor(a)
+        x, want = banded.solve(rhs), superlu.solve(rhs)
+        assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "dim, n, banded", [(1, 1022, True), (2, 30, True), (3, 16, True), (2, 190, False)]
+    )
+    def test_band_width_selects_the_kernel(self, dim, n, banded):
+        # the quotient grids of ladder_1d (511), the largest sweep grids
+        # (15^2, 8^3) and gausson_2d (95^2)
+        g = quotient_grid(make_grid(dim, 6.0, n), (1,) * dim)
+        owner = solver_mod._step_factorization(g)
+        want = solver_mod._BandedFactorization if banded else solver_mod._Factorization
+        assert type(owner) is want
+
+    def test_zero_pivot_raises_convergence_failure(self):
+        g = make_grid(2, 3.0, 6)
+        a = solver_mod._linearized_matrix(
+            g, V_HARMONIC.evaluate(g).values, np.ones(g.npoints), PerturbationParams(lam=0.1)
+        )
+        a.data[a.indptr[7] : a.indptr[8]] = 0.0  # column 7 vanishes: exactly singular
+        with pytest.raises(ConvergenceFailure, match="singular"):
+            solver_mod._BandedFactorization(2, 6).factor(a)
+
+
 class TestRayPeak:
     @pytest.mark.parametrize("lam", [1.0, 1e-4])
     def test_peak_is_the_root_of_the_ray_derivative(self, lam):
@@ -389,15 +435,21 @@ class TestNewtonFinish:
     def setup2d(self, monkeypatch):
         g = make_grid(2, 4.0, 30)
         precond = Preconditioner(g, V_HARMONIC)  # its factorization is not counted
-        orderings = []
-        splu = spla.splu
+        owners = []
+        for owner in (solver_mod._Factorization, solver_mod._BandedFactorization):
+            monkeypatch.setattr(owner, "factor", self.counted(owner, owners))
+        return g, precond, gausson_field(g), owners
 
-        def counted(*args, **kwargs):
-            orderings.append(kwargs.get("permc_spec"))
-            return splu(*args, **kwargs)
+    @staticmethod
+    def counted(owner, owners):
+        """``owner.factor`` that also records the owner class of each call."""
+        factor = owner.factor
 
-        monkeypatch.setattr(spla, "splu", counted)
-        return g, precond, gausson_field(g), orderings
+        def recorded(self, a):
+            owners.append(owner)
+            factor(self, a)
+
+        return recorded
 
     @staticmethod
     def newton_iterates(monkeypatch, jacobian_scale=1.0):
@@ -419,15 +471,15 @@ class TestNewtonFinish:
         return norm_h1v(g, V_HARMONIC, Field(grid=g, values=precond.solve(grad.values)))
 
     def test_newton_finish_converges_in_a_few_steps(self, setup2d, monkeypatch):
-        g, precond, u0, orderings = setup2d
+        g, precond, u0, owners = setup2d
         iterates = self.newton_iterates(monkeypatch)
         params = PerturbationParams(lam=0.1, p=1.5)
         res = descend(g, V_HARMONIC, u0, params, MountainPassConfig(), precond=precond)
         assert res.converged
         assert 1 <= res.newton_steps <= res.iterations <= 6
-        # one MMD-ordered factorization per iteration, Newton steps included
-        assert len(orderings) == res.iterations
-        assert set(orderings) == {"MMD_AT_PLUS_A"}
+        # one banded factorization per iteration, Newton steps included (the
+        # 30^2 grid has a band of 30)
+        assert owners == [solver_mod._BandedFactorization] * res.iterations
         assert len(iterates) == res.newton_steps
         # the energy that the Armijo descent alone reaches at this tolerance
         energy = energy_total(g, V_HARMONIC, res.field, params)
@@ -445,15 +497,28 @@ class TestNewtonFinish:
         resid = [self.residual(g, precond, params, u) for u in iterates + [res.field.values]]
         assert all(b < a for a, b in zip(resid, resid[1:]))
 
-    def test_deflated_newton_steps_count_against_the_budget(self):
-        # on the odd quotient grid this start enters the Newton finish after
-        # one descent step and needs three more steps; the budget stops it
-        # after one
+    @staticmethod
+    def deflated_start():
+        """On the odd quotient grid of n=32, the j=2 seed deflated against
+        the j=4 seed, at lam=0.1."""
         g = quotient_grid(make_grid(1, 4.0, 32), (-1,))
         ds = DeflationSet(grid=g, potential=V_HARMONIC, solutions=[structured_seed(g, 4, V_HARMONIC)])
-        seed = structured_seed(g, 2, V_HARMONIC).values + 0.5 * structured_seed(g, 6, V_HARMONIC).values
-        u0 = Field(grid=g, values=20.0 * seed)
-        cfg = MountainPassConfig(max_outer=2)
+        return g, ds, structured_seed(g, 2, V_HARMONIC)
+
+    def test_deflated_start_converges_without_a_newton_crawl(self):
+        # with plain Newton steps in the deflation span this start reaches
+        # the Newton finish where it needs 98 steps; the saddle-free steps
+        # hand it over where two suffice
+        g, ds, u0 = self.deflated_start()
+        res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), MountainPassConfig(), deflation=ds)
+        assert res.converged
+        assert res.iterations <= 20
+
+    def test_deflated_newton_steps_count_against_the_budget(self):
+        # this start enters the Newton finish after 12 descent steps and
+        # needs two Newton steps; the budget stops it after one
+        g, ds, u0 = self.deflated_start()
+        cfg = MountainPassConfig(max_outer=13)
         res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), cfg, deflation=ds)
         assert res.iterations - res.newton_steps >= 1
         assert res.newton_steps >= 1
