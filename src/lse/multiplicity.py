@@ -157,6 +157,7 @@ def find_k_solutions(
     # parity sector -> (grid, potential, preconditioner, accepted reports)
     sectors: dict[tuple[int, ...], tuple] = {}
     accepted: list[tuple[Field, float, SolveReport]] = []
+    tried = 0  # seeds that reached continue_to_limit
 
     def deflation_for_stage(i: int):
         # the sector (sg, sv, reports) of the running attempt
@@ -185,6 +186,7 @@ def find_k_solutions(
         except ValueError as exc:
             log.warning("seed %d rejected: %s", attempt, exc)
             break
+        tried += 1
         try:
             u, rep = continue_to_limit(
                 sg, sv, sched, params, cfg,
@@ -212,7 +214,7 @@ def find_k_solutions(
     accepted.sort(key=lambda item: item[1])
     if len(accepted) < k:
         log.warning("found %d of %d requested solutions in %d attempts",
-                    len(accepted), k, 3 * k)
+                    len(accepted), k, tried)
     for (_, e1, _), (_, e2, _) in zip(accepted, accepted[1:]):
         if e2 - e1 < 1e-6:
             log.warning(

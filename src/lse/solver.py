@@ -12,16 +12,17 @@ point:
 * an Armijo descent step, which contracts everything else.  At lam > 0
   its direction s solves A s = el_gradient(u), with A the SPD
   linearization ``_linearized_matrix`` at the iterate (factored on every
-  step; on full 3d grids solved by conjugate gradients); at lam = 0 it is
-  z solving the fixed (-Lap + V + 1) z = el_gradient(u) of
-  ``Preconditioner``, whose weighted norm is the residual at every lam.
-  Both operators, and the Newton Jacobian below, are value fills of one
-  cached CSC stencil pattern per grid, ``_stencil_pattern``.
+  step); at lam = 0 it is z solving the fixed (-Lap + V + 1) z =
+  el_gradient(u) of ``Preconditioner``, whose weighted norm is the
+  residual at every lam.  Both operators, and the Newton Jacobian below,
+  are value fills of one cached CSC stencil pattern per grid,
+  ``_stencil_pattern``.
 
-The per-iterate factorization of the step or Newton operator is LAPACK
-banded LU when the stencil's band is narrow (1d grids and small 2d and 3d
-grids) and SuperLU otherwise, chosen by one size rule,
-``_step_factorization``; the fixed operator is always factored by SuperLU.
+Every linear solve is direct, on every grid.  The per-iterate
+factorization of the step or Newton operator is LAPACK banded LU when the
+stencil's band is narrow (1d grids and small 2d and 3d grids) and SuperLU
+otherwise, chosen by one size rule, ``_step_factorization``; the fixed
+operator is always factored by SuperLU.
 
 Every function here works on a full grid and on a quotient grid of one
 parity sector alike (see :mod:`lse.grid`): the kernels carry the mirror
@@ -207,15 +208,6 @@ class MountainPassResult:
 # ---------------------------------------------------------------------------
 # sparse factorizations and the preconditioner
 
-_DIRECT_LIMIT = 120_000  # unknowns; beyond this fall back to conjugate gradients
-
-
-def _factors(g: Grid) -> bool:
-    """Whether the step and fixed operators on g are factored (planar grids
-    and quotient grids) rather than solved by Jacobi-CG (full 3d grids)."""
-    return g.dim <= 2 or bool(g.mirror)
-
-
 # Minimum degree on the pattern of A^T + A.  Every operator factored here is
 # a structurally symmetric stencil matrix, for which this ordering gives
 # about half the LU fill of SuperLU's default (COLAMD) on 2d grids.
@@ -239,7 +231,10 @@ class _Factorization:
 
     def factor(self, a: sp.spmatrix) -> None:
         self._lu = None
-        self._lu = spla.splu(a.tocsc(), permc_spec=_ORDERING, relax=1, panel_size=1)
+        try:
+            self._lu = spla.splu(a.tocsc(), permc_spec=_ORDERING, relax=1, panel_size=1)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise ConvergenceFailure(f"operator is singular ({exc})") from None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -312,14 +307,12 @@ class Preconditioner:
     iterate-dependent operator ``_linearized_matrix`` instead, and the
     Newton finish solves with the Jacobian ``_newton_matrix``; ``descend``
     factors both apart from these, at the current iterate (see the module
-    docstring).  Planar problems and quotient grids use a SuperLU
-    factorization whatever their band (one factorize per grid, many cheap
-    solves, bit-reproducible); full 3d grids and very large ones fall back
-    to diagonally preconditioned conjugate gradients at rtol 1e-10.
+    docstring).  The fixed operator has one SuperLU factorization on every
+    grid, whatever its band (one factorize per grid, many cheap solves,
+    bit-reproducible).
     """
 
     def __init__(self, g: Grid, potential) -> None:
-        self.grid = g
         vvals = potential.evaluate(g).values
         indptr, indices, diag_pos, _ = _stencil_pattern(g.dim, g.points_per_dim)
         data = np.full(indices.size, -1.0 / g.spacing**2)
@@ -329,28 +322,11 @@ class Preconditioner:
             # (odd) times the coupling to the zero exterior
             diag[(slice(None),) * d + (0,)] -= parity / g.spacing**2
         data[diag_pos] = diag.reshape(-1) + (vvals + 1.0)
-        a = sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints))
-        if g.npoints <= _DIRECT_LIMIT and _factors(g):
-            self._lu = _Factorization()
-            self._lu.factor(a)
-            self._cg = None
-        else:
-            self._lu = None
-            self._op = a.tocsr()
-            self._diag_inv = sp.diags(1.0 / a.diagonal())
-            self._cg = np.zeros(g.npoints)
+        self._lu = _Factorization()
+        self._lu.factor(sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self._lu.solve(rhs)
-        z, info = spla.cg(
-            self._op, rhs, x0=self._cg, M=self._diag_inv, rtol=1e-10, atol=0.0,
-            maxiter=20 * self.grid.box_points,
-        )
-        if info != 0:
-            raise ConvergenceFailure(f"preconditioner solve did not converge (cg info={info})")
-        self._cg = z
-        return z
+        return self._lu.solve(rhs)
 
 
 @functools.lru_cache(maxsize=8)  # a solve uses one grid
@@ -678,7 +654,6 @@ def descend(
     vol = g.weight
     u = np.array(u0.values)
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
-    step_prev: np.ndarray | None = None
     span = [s.values for s in deflation.solutions] if deflation is not None else []
     lu = _step_factorization(g)
     for _ in range(cfg.max_outer + 1):
@@ -707,22 +682,11 @@ def descend(
             break
         scale = 1.0 if deflation is None else deflation.step_scale(u)
         e0 = _parts_raw(g, vvals, u, params).total
-        if params.lam > 0.0 and _factors(g):
+        if params.lam > 0.0:
             # step through the perturbation-aware linearization; the fixed
             # operator only measures the residual above
             lu.factor(_linearized_matrix(g, vvals, u, params))
             step = lu.solve(grad)
-        elif params.lam > 0.0:
-            a_u = _linearized_matrix(g, vvals, u, params)
-            step, info = spla.cg(
-                a_u, grad, x0=step_prev, M=sp.diags(1.0 / a_u.diagonal()),
-                rtol=1e-8, atol=0.0, maxiter=20 * g.box_points,
-            )
-            if info != 0:
-                raise ConvergenceFailure(
-                    f"step operator solve did not converge (cg info={info})"
-                )
-            step_prev = step
         else:
             step = z
         pair = vol * float(grad @ step) * scale

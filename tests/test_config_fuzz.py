@@ -53,10 +53,11 @@ def _pinned(dim: int, points: int, potential: str, k: int) -> dict:
 
 
 # besides the random draws, one solve on each path: a 3d quotient grid, and
-# full grids from an odd point count in 1d (two sectors' seeds) and 2d
+# full grids from an odd point count in 1d (two sectors' seeds), 2d and 3d
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(cfg=configs())
 @example(cfg=_pinned(3, 12, "shifted:harmonic:2.0:0.5", 1))
+@example(cfg=_pinned(3, 13, "shifted:harmonic:2.0:0.5", 1))
 @example(cfg=_pinned(1, 31, "shifted:harmonic:2.0:1.0", 2))
 @example(cfg=_pinned(2, 15, "shifted:quartic:1.0:0.5", 1))
 def test_every_config_solves_or_fails_cleanly(cfg):

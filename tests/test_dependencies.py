@@ -32,3 +32,47 @@ def test_third_party_imports_are_numpy_and_three_scipy_modules():
                 third_party.setdefault("numpy" if top == "numpy" else name, []).append(path.name)
     assert "numpy" in third_party
     assert set(third_party) <= ALLOWED, {k: v for k, v in third_party.items() if k not in ALLOWED}
+
+
+# the only names lse takes from the scipy modules that hold its solvers: one
+# sparse LU (SuperLU) and one banded LU (LAPACK)
+PINNED = {"scipy.sparse.linalg": {"splu"}, "scipy.linalg.lapack": {"dgbtrf", "dgbtrs"}}
+
+
+def _names_taken(path: Path) -> dict[str, set[str]]:
+    """Per module, the names one source file imports from it or reads as
+    attributes of it (through ``import module [as alias]`` bindings)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}  # local name -> the module it is bound to
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            taken.setdefault(node.module, set()).update(alias.name for alias in node.names)
+
+    def resolve(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module = resolve(node.value)
+            if module:
+                taken.setdefault(module, set()).add(node.attr)
+    return taken
+
+
+def test_solver_modules_supply_only_the_two_factorizations():
+    taken = {module: set() for module in PINNED}
+    for path in SOURCES:
+        for module, names in _names_taken(path).items():
+            if module in taken:
+                taken[module] |= names
+    assert taken == PINNED

@@ -6,6 +6,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import lse.multiplicity as multiplicity_mod
 from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated
@@ -226,6 +227,19 @@ class TestFindKSolutions:
         folded = [rec.message for rec in caplog.records if "known solution" in rec.message]
         assert "seed 3 converged to a known solution (distance 0.000e+00)" in folded
 
+    def test_shortfall_counts_the_attempts_made(self, caplog):
+        # seed 4 needs 4 < n/2 and is rejected on 8 points before any solve
+        g = make_grid(1, 4.0, 8)
+        with caplog.at_level(logging.INFO, logger="lse.multiplicity"):
+            sols = find_k_solutions(
+                g, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5),
+                MountainPassConfig(), 4,
+            )
+        assert len(sols) == 3
+        messages = [rec.message for rec in caplog.records]
+        assert any(m.startswith("seed 4 rejected") for m in messages)
+        assert "found 3 of 4 requested solutions in 3 attempts" in messages
+
 
 class TestParitySectors:
     """find_k_solutions solves each seed on the quotient grid of its sector when
@@ -260,13 +274,18 @@ class TestParitySectors:
         assert np.array_equal(odd, -np.flip(odd, axis=0))
         assert np.array_equal(odd, np.flip(odd, axis=1))
 
-    @pytest.mark.parametrize("points, asymmetric", [(31, False), (32, True)])
-    def test_full_grid_without_mirror_symmetry(self, monkeypatch, points, asymmetric):
-        g = make_grid(1, 6.0, points)
+    @pytest.mark.parametrize("dim, points, asymmetric", [(1, 31, False), (1, 32, True), (3, 13, False)])
+    def test_full_grid_without_mirror_symmetry(self, monkeypatch, dim, points, asymmetric):
+        g = make_grid(dim, 6.0, points)
         vals = V_SHIFTED.evaluate(g).values.copy()
         if asymmetric:
             vals[0] += 1e-3
         calls = self.recorded_solves(monkeypatch)
+
+        def no_cg(*args, **kwargs):
+            raise AssertionError("every grid is solved by factorization")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", no_cg)
         sols = find_k_solutions(
             g, Tabulated(values=Field(grid=g, values=vals)), ContinuationSchedule(),
             PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 1,

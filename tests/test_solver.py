@@ -279,9 +279,9 @@ class TestStepOperators:
             factor(self, a)
 
         monkeypatch.setattr(solver_mod._Factorization, "factor", recorded)
-        pre = Preconditioner(g, V_SHIFTED)
-        got = factored[0] if factored else pre._op  # 3d keeps the operator for CG
-        _assert_bit_equal(got, _kron_fixed_operator(g, V_SHIFTED.evaluate(g).values))
+        Preconditioner(g, V_SHIFTED)
+        assert len(factored) == 1
+        _assert_bit_equal(factored[0], _kron_fixed_operator(g, V_SHIFTED.evaluate(g).values))
 
 
 class TestBandedFactorization:
@@ -321,14 +321,18 @@ class TestBandedFactorization:
         want = solver_mod._BandedFactorization if banded else solver_mod._Factorization
         assert type(owner) is want
 
-    def test_zero_pivot_raises_convergence_failure(self):
+    @pytest.mark.parametrize(
+        "owner", [lambda: solver_mod._BandedFactorization(2, 6), lambda: solver_mod._Factorization()],
+        ids=["banded", "superlu"],
+    )
+    def test_zero_pivot_raises_convergence_failure(self, owner):
         g = make_grid(2, 3.0, 6)
         a = solver_mod._linearized_matrix(
             g, V_HARMONIC.evaluate(g).values, np.ones(g.npoints), PerturbationParams(lam=0.1)
         )
         a.data[a.indptr[7] : a.indptr[8]] = 0.0  # column 7 vanishes: exactly singular
         with pytest.raises(ConvergenceFailure, match="singular"):
-            solver_mod._BandedFactorization(2, 6).factor(a)
+            owner().factor(a)
 
 
 class TestRayPeak:
