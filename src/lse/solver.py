@@ -35,6 +35,10 @@ Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
 accepting only steps that lower the residual.  Near a critical point it
 converges in a few steps whatever the Morse index, so it needs neither the
 ray rescale nor deflation; warm-started lam stages typically start there.
+On SuperLU grids a Newton Jacobian factor is kept for chord steps while
+they contract the residual by ``_CHORD_THETA``, across iterates and lam
+stages alike: ``continue_to_limit`` makes one step owner per solve and
+hands it to every stage.  Banded grids refactor at every step.
 
 Energy is nonincreasing across the accepted Armijo steps (recorded in
 ``DescentResult.energy_steps``); the ray rescale between steps moves back
@@ -174,7 +178,8 @@ class SolveReport:
     """Per-stage continuation diagnostics plus final identity margins.
 
     records are ordered by decreasing lam with the lam = 0 stage last;
-    trajectory holds the converged field of each stage.
+    trajectory holds the converged field of each stage.  newton_steps and
+    factorizations sum those of the stages' descents.
     """
 
     records: list[LambdaRecord] = field(default_factory=list)
@@ -183,6 +188,8 @@ class SolveReport:
     energy_mass_defect: float = float("nan")
     m2_estimate: float = float("nan")
     wall_time: float = 0.0
+    newton_steps: int = 0
+    factorizations: int = 0
 
 
 @dataclass
@@ -195,6 +202,7 @@ class DescentResult:
     collapsed: bool = False
     energy_steps: list[tuple[float, float]] = field(default_factory=list)
     newton_steps: int = 0  # the part of ``iterations`` taken by the Newton finish
+    factorizations: int = 0  # of the step and Newton operators, by the step owner
 
 
 @dataclass
@@ -218,19 +226,30 @@ class _Factorization:
     """Owner of one sparse LU factorization; every splu in the solver is here.
 
     It holds the factors of the fixed operator for ``Preconditioner``, or
-    those of the current step operator in ``descend`` when its band is too
+    those of the step or Newton operator of a solve when their band is too
     wide for ``_BandedFactorization`` (see ``_step_factorization``).
     ``factor`` frees the old factors before it builds the new ones, so the
     two are never alive at once.  ``relax=1, panel_size=1`` give the same
     fill as SuperLU's defaults and factor faster on every stencil grid
     measured (2d 95^2 quotient 27 -> 19 ms, 3d 20^3 quotient 578 -> 197 ms).
+
+    A SuperLU factor costs many solves, so ``_newton_polish`` keeps a Newton
+    Jacobian factor for later chord steps (``lags_jacobian``) and marks it
+    with ``holds_jacobian``; every ``factor`` call, failed ones included,
+    and ``release`` clear the mark.
     """
 
+    lags_jacobian = True
+
     def __init__(self) -> None:
+        self.release()
+
+    def release(self) -> None:
         self._lu = None
+        self.holds_jacobian = False
 
     def factor(self, a: sp.spmatrix) -> None:
-        self._lu = None
+        self.release()
         try:
             self._lu = spla.splu(a.tocsc(), permc_spec=_ORDERING, relax=1, panel_size=1)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -257,16 +276,26 @@ def _band_slots(dim: int, n: int) -> np.ndarray:
 class _BandedFactorization:
     """Owner of one LAPACK banded LU (dgbtrf/dgbtrs) of a step operator on
     an n^dim grid, a value fill of ``_stencil_pattern(dim, n)``.  In C point
-    order the stencil's band is bw = n^(dim-1) wide on each side."""
+    order the stencil's band is bw = n^(dim-1) wide on each side.
+
+    A banded factor costs about one solve, so Newton refactors at every
+    step: lagging it on every grid measured more iterations and more time
+    (``sweep`` 1941 -> 5512 iterations, +23%; ``ladder_1d`` +19%)."""
+
+    lags_jacobian = False
 
     def __init__(self, dim: int, n: int) -> None:
         self._bw = n ** (dim - 1)
         self._slots = _band_slots(dim, n)
         self._shape = (3 * self._bw + 1, n**dim)
+        self.release()
+
+    def release(self) -> None:
         self._lu = self._piv = None
+        self.holds_jacobian = False
 
     def factor(self, a: sp.spmatrix) -> None:
-        self._lu = None
+        self.release()
         band = np.zeros(self._shape, order="F")
         band.reshape(-1, order="F")[self._slots] = a.data
         lu, piv, info = _gbtrf(band, self._bw, self._bw, overwrite_ab=1)
@@ -306,10 +335,10 @@ class Preconditioner:
     is the Armijo step itself at lam = 0.  At lam > 0 that step solves the
     iterate-dependent operator ``_linearized_matrix`` instead, and the
     Newton finish solves with the Jacobian ``_newton_matrix``; ``descend``
-    factors both apart from these, at the current iterate (see the module
-    docstring).  The fixed operator has one SuperLU factorization on every
-    grid, whatever its band (one factorize per grid, many cheap solves,
-    bit-reproducible).
+    factors both apart from these, in the step owner of its solve (see the
+    module docstring).  The fixed operator has one SuperLU factorization on
+    every grid, whatever its band (one factorize per grid, many cheap
+    solves, bit-reproducible).
     """
 
     def __init__(self, g: Grid, potential) -> None:
@@ -562,6 +591,19 @@ def check_geometry(
 # descent
 
 
+# A chord step (with the lagged Jacobian factor of an earlier iterate or lam
+# stage) is kept when it lowers the preconditioned residual below this
+# fraction of the current one; otherwise the Jacobian is refactored.
+# SuperLU factorizations / iterations per solve, in process, seed 5:
+#   theta       0 (no lag)  0.25    0.5     0.75    0.9
+#   gausson_2d  17 / 16     13 / 22  8 / 29  7 / 38  5 / 101
+#   3d n = 40   17 / 16     15 / 23  7 / 29  7 / 52
+# (3d: the shifted Gausson V = 2|x|^2 + 0.5, L = 5, a 20^3 quotient; counts
+# include the preconditioner's factor).  0.5 was fastest on both: 3d 3.32,
+# 3.35, 1.73, 1.93 s; above it the chord steps crawl.
+_CHORD_THETA = 0.5
+
+
 def _newton_polish(
     g: Grid,
     vvals: np.ndarray,
@@ -581,8 +623,12 @@ def _newton_polish(
     preconditioned residual; returns the final iterate.
 
     Starts from the iterate u with gradient ``grad`` and preconditioned
-    residual ``resid``.  Each step factors the true Jacobian
-    ``_newton_matrix`` into ``lu`` and halves the Newton step (at most
+    residual ``resid``.  When ``lu`` holds a Newton Jacobian factor, of an
+    earlier iterate or lam stage, a step first tries the undamped chord
+    step u - J_old^-1 grad and keeps it if the residual falls below
+    ``_CHORD_THETA`` times the current one.  Otherwise it factors the true
+    Jacobian ``_newton_matrix`` at u into ``lu`` (kept for later chord
+    steps if ``lu.lags_jacobian``) and halves the Newton step (at most
     seven times) until the residual falls by 1%.  Steps count in
     ``result.iterations`` (and ``result.newton_steps``) against
     cfg.max_outer; a mass below ``mass_floor`` sets ``result.collapsed``,
@@ -590,22 +636,33 @@ def _newton_polish(
     ``result.residual`` and ``result.converged`` describe the final iterate.
     """
     vol = g.weight
+
+    def trial(cand):
+        gnew = _gradient_raw(g, vvals, cand, params)
+        return gnew, _h1v_raw(g, vvals, precond.solve(gnew))
+
     while resid > cfg.descent_tol and result.iterations < cfg.max_outer:
         if deflation is not None:
             deflation.step_scale(u)  # proximity guard only
-        lu.factor(_newton_matrix(g, vvals, u, params))
-        delta = lu.solve(grad)
-        damp = 1.0
-        for _ in range(8):
-            cand = u - damp * delta
-            gnew = _gradient_raw(g, vvals, cand, params)
-            rnew = _h1v_raw(g, vvals, precond.solve(gnew))
-            if np.isfinite(rnew) and rnew < 0.99 * resid:
+        rnew = np.inf
+        if lu.holds_jacobian:
+            cand = u - lu.solve(grad)
+            gnew, rnew = trial(cand)
+        if not (np.isfinite(rnew) and rnew < _CHORD_THETA * resid):
+            lu.factor(_newton_matrix(g, vvals, u, params))
+            lu.holds_jacobian = lu.lags_jacobian
+            result.factorizations += 1
+            delta = lu.solve(grad)
+            damp = 1.0
+            for _ in range(8):
+                cand = u - damp * delta
+                gnew, rnew = trial(cand)
+                if np.isfinite(rnew) and rnew < 0.99 * resid:
+                    break
+                damp *= 0.5
+            else:
+                result.stagnated = True
                 break
-            damp *= 0.5
-        else:
-            result.stagnated = True
-            break
         u, grad, resid = cand, gnew, rnew
         result.iterations += 1
         result.newton_steps += 1
@@ -634,6 +691,7 @@ def descend(
     deflation=None,
     mass_floor: float = 0.0,
     precond: Preconditioner | None = None,
+    step_lu: _Factorization | _BandedFactorization | None = None,
 ) -> DescentResult:
     """Preconditioned Armijo descent, ray-stabilized, finished by damped
     Newton.
@@ -646,7 +704,9 @@ def descend(
     the budget goes to ``_newton_polish``.
     ``deflation`` may supply a ``step_scale(u_flat)`` factor (see the
     deflation operator); ``mass_floor`` aborts with the collapsed flag when
-    the iterate's mass integral falls below it.
+    the iterate's mass integral falls below it.  ``step_lu`` is the owner of
+    the step and Newton factorizations (a new ``_step_factorization(g)`` if
+    None); a Newton factor it holds on entry may serve as a chord step.
     """
     vvals = potential.evaluate(g).values
     if precond is None:
@@ -655,7 +715,7 @@ def descend(
     u = np.array(u0.values)
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
     span = [s.values for s in deflation.solutions] if deflation is not None else []
-    lu = _step_factorization(g)
+    lu = step_lu if step_lu is not None else _step_factorization(g)
     for _ in range(cfg.max_outer + 1):
         if float((u * u).sum()) > 0.0:
             if span:
@@ -686,6 +746,7 @@ def descend(
             # step through the perturbation-aware linearization; the fixed
             # operator only measures the residual above
             lu.factor(_linearized_matrix(g, vvals, u, params))
+            result.factorizations += 1
             step = lu.solve(grad)
         else:
             step = z
@@ -738,6 +799,7 @@ def mountain_pass(
     seed: Field | None = None,
     deflation=None,
     precond: Preconditioner | None = None,
+    step_lu: _Factorization | _BandedFactorization | None = None,
 ) -> MountainPassResult:
     """Mountain-pass search for a critical point at fixed lam.
 
@@ -746,6 +808,7 @@ def mountain_pass(
     maximum over the path t -> t e from 0.  Raises ValueError for a zero
     seed and GeometryFailure if I_lam(2^60 e) >= 0: the ray profile crosses
     zero once, so then no point of the ray up to 2^60 e is negative.
+    ``step_lu`` is passed on to ``descend``.
     """
     validate_potential(g, potential)
     if params.lam <= 0.0:
@@ -762,7 +825,7 @@ def mountain_pass(
     path_max = _parts_raw(g, vvals, u0, params).total
     res = descend(
         g, potential, Field(grid=g, values=u0), params, cfg,
-        deflation=deflation, mass_floor=_MASS_FLOOR, precond=precond,
+        deflation=deflation, mass_floor=_MASS_FLOOR, precond=precond, step_lu=step_lu,
     )
     _raise_unless_converged(res, params.lam, "mountain pass")
     c_lam = _parts_raw(g, vvals, res.field.values, params).total
@@ -804,8 +867,10 @@ def continue_to_limit(
 
     ``deflation_for_stage`` may be a callable stage_index -> deflation
     operator (or None), where stage indices follow the schedule order with
-    the final lam = 0 polish last.  Raises CollapseError if the limit field
-    is trivial (mass below 1e-6).
+    the final lam = 0 polish last.  Every stage shares one step owner
+    (``_step_factorization``), made here and released on return, so a
+    Newton factor of one stage may serve the next but never another solve.
+    Raises CollapseError if the limit field is trivial (mass below 1e-6).
     """
     start = time.perf_counter()
     validate_potential(g, potential)
@@ -814,28 +879,34 @@ def continue_to_limit(
     vvals = potential.evaluate(g).values
     report = SolveReport()
     lams = sched.lambdas() + [0.0]
+    lu = _step_factorization(g)
 
     def defl(i: int):
         return deflation_for_stage(i) if deflation_for_stage is not None else None
 
-    par = replace(params, lam=lams[0])
-    mp = mountain_pass(g, potential, par, cfg, seed=seed, deflation=defl(0), precond=precond)
-    u = mp.field.values
-    report.m2_estimate = mp.path_max
-    report.records.append(_stage_record(g, vvals, u, par, mp.descent))
-    report.trajectory.append(mp.field)
+    def record(field: Field, par: PerturbationParams, res: DescentResult) -> None:
+        report.records.append(_stage_record(g, vvals, field.values, par, res))
+        report.trajectory.append(field)
+        report.newton_steps += res.newton_steps
+        report.factorizations += res.factorizations
 
-    for i, lam in enumerate(lams[1:], start=1):
-        par = replace(params, lam=lam)
-        res = descend(
-            g, potential, Field(grid=g, values=u), par, cfg,
-            deflation=defl(i), mass_floor=_MASS_FLOOR, precond=precond,
-        )
-        _raise_unless_converged(res, lam, f"continuation stage lam={lam:g}")
-        u = res.field.values
-        report.records.append(_stage_record(g, vvals, u, par, res))
-        report.trajectory.append(res.field)
+    try:
+        par = replace(params, lam=lams[0])
+        mp = mountain_pass(g, potential, par, cfg, seed=seed, deflation=defl(0), precond=precond, step_lu=lu)
+        report.m2_estimate = mp.path_max
+        record(mp.field, par, mp.descent)
+        for i, lam in enumerate(lams[1:], start=1):
+            par = replace(params, lam=lam)
+            res = descend(
+                g, potential, report.trajectory[-1], par, cfg,
+                deflation=defl(i), mass_floor=_MASS_FLOOR, precond=precond, step_lu=lu,
+            )
+            _raise_unless_converged(res, lam, f"continuation stage lam={lam:g}")
+            record(res.field, par, res)
+    finally:
+        lu.release()
 
+    u = report.trajectory[-1].values
     vol = g.weight
     mass = vol * float((u * u).sum())
     if mass < 1e-6:

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse.linalg
 
 import lse.multiplicity as multiplicity_mod
+import lse.solver as solver_mod
 from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated
 from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v
 from lse.multiplicity import (
@@ -239,6 +240,13 @@ class TestFindKSolutions:
         messages = [rec.message for rec in caplog.records]
         assert any(m.startswith("seed 4 rejected") for m in messages)
         assert "found 3 of 4 requested solutions in 3 attempts" in messages
+        # each solved seed logs the counts of its report
+        solved = sorted(m.split(": ", 1)[1] for m in messages if " solved: " in m)
+        assert solved == sorted(
+            f"{rep.newton_steps} Newton steps, {rep.factorizations} step and Newton factorizations"
+            for _, _, rep in sols
+        )
+        assert all(rep.newton_steps > 0 for _, _, rep in sols)
 
 
 class TestParitySectors:
@@ -292,3 +300,41 @@ class TestParitySectors:
         )
         assert len(sols) == 1 and sols[0][0].grid == g
         assert [qg for qg, _ in calls] == [g]
+
+    def test_each_seed_solves_with_its_own_step_owner(self, monkeypatch):
+        # on SuperLU grids a step owner keeps a Newton factor for chord steps;
+        # one from another seed's solution must never be a new seed's first step
+        monkeypatch.setattr(solver_mod, "_BANDED_LIMIT", 0)
+        made, stages, solves = [], [], []
+        make, descend, solve = solver_mod._step_factorization, solver_mod.descend, multiplicity_mod.continue_to_limit
+
+        def counted(g):
+            made.append(make(g))
+            return made[-1]
+
+        def recorded(*args, step_lu=None, **kwargs):
+            stages.append((step_lu, step_lu.holds_jacobian))
+            return descend(*args, step_lu=step_lu, **kwargs)
+
+        def per_solve(*args, **kwargs):
+            start = len(stages)
+            out = solve(*args, **kwargs)
+            solves.append(stages[start:])
+            return out
+
+        monkeypatch.setattr(solver_mod, "_step_factorization", counted)
+        monkeypatch.setattr(solver_mod, "descend", recorded)
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", per_solve)
+        sols = find_k_solutions(
+            make_grid(2, 5.0, 40), V_SHIFTED, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5),
+            MountainPassConfig(), 2,
+        )
+        assert len(sols) == len(solves) == len(made) == 2
+        assert made[0] is not made[1]
+        for owner, descents in zip(made, solves):
+            assert len(descents) == 6  # the mountain pass and five continuation stages
+            assert all(lu is owner for lu, _ in descents)
+            # no factor at the seed's first step; later stages start from the
+            # Newton factor of the stage before
+            assert [held for _, held in descents] == [False] + [True] * 5
+            assert not owner.holds_jacobian  # released when the solve ended

@@ -330,9 +330,15 @@ class TestBandedFactorization:
         a = solver_mod._linearized_matrix(
             g, V_HARMONIC.evaluate(g).values, np.ones(g.npoints), PerturbationParams(lam=0.1)
         )
+        lu = owner()
+        lu.factor(a)  # a good factor, kept as a Newton Jacobian's where lagged
+        lu.holds_jacobian = lu.lags_jacobian
         a.data[a.indptr[7] : a.indptr[8]] = 0.0  # column 7 vanishes: exactly singular
         with pytest.raises(ConvergenceFailure, match="singular"):
-            owner().factor(a)
+            lu.factor(a)
+        # no later chord step may solve with the old factor or with none
+        assert not lu.holds_jacobian
+        assert lu._lu is None
 
 
 class TestRayPeak:
@@ -500,6 +506,89 @@ class TestNewtonFinish:
         assert res.newton_steps >= 2
         resid = [self.residual(g, precond, params, u) for u in iterates + [res.field.values]]
         assert all(b < a for a, b in zip(resid, resid[1:]))
+
+    @pytest.fixture
+    def superlu2d(self, monkeypatch):
+        """The grid of ``setup2d`` with its step and Newton operators moved to
+        SuperLU, and a log of the factor and solve calls of the step owner."""
+        monkeypatch.setattr(solver_mod, "_BANDED_LIMIT", 0)
+        g = make_grid(2, 4.0, 30)
+        precond = Preconditioner(g, V_HARMONIC)
+        events = []
+        for name in ("factor", "solve"):
+
+            def logged(self, arg, method=getattr(solver_mod._Factorization, name), name=name):
+                if self is not precond._lu:
+                    events.append(name)
+                return method(self, arg)
+
+            monkeypatch.setattr(solver_mod._Factorization, name, logged)
+        return g, precond, events
+
+    def test_chord_steps_reuse_the_jacobian_across_stages(self, superlu2d, monkeypatch):
+        g, precond, events = superlu2d
+        iterates = self.newton_iterates(monkeypatch)
+        args = (g, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig())
+        _, lagged = continue_to_limit(*args, precond=precond)
+        assert lagged.factorizations == events.count("factor")
+        assert len(iterates) < lagged.newton_steps
+        # without the lag every Newton step factors its own Jacobian
+        monkeypatch.setattr(solver_mod._Factorization, "lags_jacobian", False)
+        iterates.clear()
+        _, fresh = continue_to_limit(*args, precond=precond)
+        assert len(iterates) == fresh.newton_steps > lagged.factorizations
+        assert lagged.records[-1].energy == pytest.approx(fresh.records[-1].energy, rel=1e-12)
+
+    @pytest.mark.parametrize("jacobian_scale", [1.0, 0.4])
+    def test_chord_and_newton_steps_lower_the_residual(self, superlu2d, monkeypatch, jacobian_scale):
+        # with the Jacobian scaled by 0.4 every undamped chord step is 2.5
+        # times too long, so each is rejected and the Jacobian refactored at
+        # the same iterate; at scale 1 chord steps are kept
+        g, precond, events = superlu2d
+        iterates = self.newton_iterates(monkeypatch, jacobian_scale=jacobian_scale)
+        params = PerturbationParams(lam=0.1, p=1.5)
+        starts = []
+
+        class StepStarts:
+            """A deflation with no solutions that records each step's iterate."""
+
+            solutions = []
+
+            def step_scale(self, u):
+                starts.append(u.copy())
+                events.append("start")
+                return 1.0
+
+        res = descend(
+            g, V_HARMONIC, gausson_field(g), params, MountainPassConfig(), precond=precond, deflation=StepStarts()
+        )
+        assert res.converged
+        assert res.newton_steps == res.iterations == len(starts)
+        # the owner's calls per step: a chord trial is a solve before any factor
+        steps = [tuple(step.split()) for step in " ".join(events).split("start")[1:]]
+        kept, newton, refactored = ("solve",), ("factor", "solve"), ("solve", "factor", "solve")
+        assert steps[0] == newton and set(steps) <= {kept, newton, refactored}
+        if jacobian_scale == 1.0:
+            assert steps.count(kept) >= 2
+        else:
+            assert steps[1:] == [refactored] * (res.newton_steps - 1) and res.newton_steps >= 3
+        # every factor is of the Jacobian at its step's iterate
+        factored = [u for u, step in zip(starts, steps) if "factor" in step]
+        assert all(np.array_equal(a, b) for a, b in zip(iterates, factored, strict=True))
+        resid = [self.residual(g, precond, params, u) for u in starts + [res.field.values]]
+        assert all(b < a for a, b in zip(resid, resid[1:]))
+
+    def test_reports_sum_the_stage_counts(self, setup2d, monkeypatch):
+        # banded grids refactor at every Newton step, so the Newton matrix
+        # count pins the Newton steps
+        g, precond, _, owners = setup2d
+        iterates = self.newton_iterates(monkeypatch)
+        _, report = continue_to_limit(
+            g, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(),
+            precond=precond,
+        )
+        assert report.factorizations == len(owners) >= report.newton_steps == len(iterates) > 0
+        assert report.newton_steps <= sum(rec.iterations for rec in report.records)
 
     @staticmethod
     def deflated_start():
