@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,23 +49,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_CONFIG_KEYS = (
-    "dim",
-    "half_width",
-    "points",
-    "potential",
-    "p",
-    "lambda_start",
-    "lambda_ratio",
-    "lambda_min",
-    "tol_grad",
-    "max_outer",
-    "k_solutions",
-    "rng_seed",
-    "output_dir",
-    "emit",
-)
 
 _EMIT_CHOICES = frozenset({"fields", "diagnostics", "plotdata", "checks"})
 
@@ -107,6 +90,8 @@ class RunSpec:
 
 # ---------------------------------------------------------------------------
 # configuration
+
+_CONFIG_KEYS = tuple(f.name for f in fields(RunSpec))
 
 
 def _parse_int(key: str, raw: str, minimum: int | None = None, choices: tuple[int, ...] | None = None) -> int:

@@ -9,14 +9,15 @@ point:
 * an exact one-dimensional re-maximization of I_lam(t * u) over t > 0
   (the ray profile is strictly unimodal, so the peak is a scalar root
   find), which removes the unstable ray component, and
-* an Armijo descent step, which contracts everything else.  At lam > 0
-  its direction s solves A s = el_gradient(u), with A the SPD
-  linearization ``_linearized_matrix`` at the iterate (factored on every
-  step); at lam = 0 it is z solving the fixed (-Lap + V + 1) z =
-  el_gradient(u) of ``Preconditioner``, whose weighted norm is the
-  residual at every lam.  Both operators, and the Newton Jacobian below,
-  are value fills of one cached CSC stencil pattern per grid,
-  ``_stencil_pattern``.
+* an Armijo descent step, which contracts everything else.  Its
+  direction s solves A s = el_gradient(u), with A the SPD linearization
+  ``_linearized_matrix`` at the iterate, factored on every step.
+
+The residual is the weighted norm of z solving the fixed (-Lap + V + 1) z
+= el_gradient(u) of ``Preconditioner``.  That operator is A at lam = 0,
+where A does not depend on the iterate, and the Newton Jacobian below is
+A with its diagonal shifted: ``_linearized_matrix`` fills all three into
+one cached CSC stencil pattern per grid, ``_stencil_pattern``.
 
 Every linear solve is direct, on every grid.  The per-iterate
 factorization of the step or Newton operator is LAPACK banded LU when the
@@ -328,31 +329,22 @@ def _step_factorization(g: Grid) -> _Factorization | _BandedFactorization:
 
 
 class Preconditioner:
-    """Solves the fixed operator (-Lap + V + 1) z = rhs; assembled on the
-    cached stencil pattern and factored once per (grid, potential).
+    """Solves the fixed operator (-Lap + V + 1) z = rhs, the step operator
+    ``_linearized_matrix`` at lam = 0; factored once per (grid, potential).
 
-    ``solve`` measures the preconditioned residual of every iterate, and
-    is the Armijo step itself at lam = 0.  At lam > 0 that step solves the
-    iterate-dependent operator ``_linearized_matrix`` instead, and the
-    Newton finish solves with the Jacobian ``_newton_matrix``; ``descend``
-    factors both apart from these, in the step owner of its solve (see the
-    module docstring).  The fixed operator has one SuperLU factorization on
-    every grid, whatever its band (one factorize per grid, many cheap
-    solves, bit-reproducible).
+    ``solve`` measures the preconditioned residual of every iterate.  The
+    Armijo step solves the iterate-dependent ``_linearized_matrix`` at the
+    stage's lam, and the Newton finish solves with the Jacobian
+    ``_newton_matrix``; ``descend`` factors both apart from this one, in
+    the step owner of its solve (see the module docstring).  The fixed
+    operator has one SuperLU factorization on every grid, whatever its band
+    (one factorize per grid, many cheap solves, bit-reproducible).
     """
 
     def __init__(self, g: Grid, potential) -> None:
         vvals = potential.evaluate(g).values
-        indptr, indices, diag_pos, _ = _stencil_pattern(g.dim, g.points_per_dim)
-        data = np.full(indices.size, -1.0 / g.spacing**2)
-        diag = np.full(g.shape, g.dim * (2.0 / g.spacing**2))
-        for d, parity in enumerate(g.mirror):
-            # a mirror edge couples a face point to its image: 0 (even) or 2
-            # (odd) times the coupling to the zero exterior
-            diag[(slice(None),) * d + (0,)] -= parity / g.spacing**2
-        data[diag_pos] = diag.reshape(-1) + (vvals + 1.0)
         self._lu = _Factorization()
-        self._lu.factor(sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints)))
+        self._lu.factor(_linearized_matrix(g, vvals, np.zeros(g.npoints), PerturbationParams(lam=0.0)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -383,7 +375,9 @@ def _stencil_pattern(dim: int, n: int) -> tuple:
 def _linearized_matrix(
     g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams, diag_shift: np.ndarray | None = None
 ) -> sp.csc_matrix:
-    """Sparse SPD linearization used for the step direction at lam > 0.
+    """Sparse SPD linearization: the Armijo step operator at every lam, and
+    at lam = 0 (where it does not depend on u) the fixed operator of
+    ``Preconditioner``.
 
     This is (-Lap + V + 1) plus the exact second derivative of the
     p-gradient term (a divergence form with per-edge coefficients) and the
@@ -499,17 +493,18 @@ def _subspace_local_max(
 ) -> np.ndarray:
     """Move u toward a nearby local maximum of I_lam restricted to
     span{u, others}, by capped saddle-free Newton steps in the span
-    coordinates.
+    coordinates.  With no other direction in the span it returns the exact
+    peak of the ray through u.
 
-    Used when deflation supplies previously found solutions: near a higher
-    critical point the extra downhill directions (besides the ray) point
-    roughly along the found solutions, so equilibrating over their span
-    stabilizes the outer descent the same way the exact 1-d ray solve does
-    for the ground state.  Each step solves with |H|, the in-span Hessian
-    with its eigenvalues replaced by their moduli (Dauphin et al., NeurIPS
-    2014), so it ascends along every eigendirection.  Plain Newton would
-    also converge onto the stored solutions, which are critical points of
-    the restriction, and hand the outer descent a known solution; the
+    The span serves deflation, which supplies previously found solutions:
+    near a higher critical point the extra downhill directions (besides the
+    ray) point roughly along the found solutions, so equilibrating over
+    their span stabilizes the outer descent the same way the exact 1-d ray
+    solve does for the ground state.  Each step solves with |H|, the in-span
+    Hessian with its eigenvalues replaced by their moduli (Dauphin et al.,
+    NeurIPS 2014), so it ascends along every eigendirection.  Plain Newton
+    would also converge onto the stored solutions, which are critical points
+    of the restriction, and hand the outer descent a known solution; the
     saddle-free step is repelled by them.  The step cap keeps the ascent
     local, since an uncapped in-span ascent would run off along high
     logarithmic ridges.
@@ -698,10 +693,12 @@ def descend(
 
     Terminates when the preconditioned residual (weighted Sobolev norm of
     the direction z) drops to cfg.descent_tol, or at cfg.max_outer.  Before
-    every step a nonzero iterate is moved to the peak of its own ray (or to
-    the nearby in-span stationary point when deflation stores previous
-    solutions).  Once the residual is at most ``_NEWTON_RESID`` the rest of
-    the budget goes to ``_newton_polish``.
+    every step ``_subspace_local_max`` stabilizes a nonzero iterate: it
+    moves it to the peak of its own ray, or, when deflation stores previous
+    solutions, to the nearby in-span stationary point.  Each Armijo step
+    factors ``_linearized_matrix`` at the iterate.  Once the residual is at
+    most ``_NEWTON_RESID`` the rest of the budget goes to
+    ``_newton_polish``.
     ``deflation`` may supply a ``step_scale(u_flat)`` factor (see the
     deflation operator); ``mass_floor`` aborts with the collapsed flag when
     the iterate's mass integral falls below it.  ``step_lu`` is the owner of
@@ -718,11 +715,7 @@ def descend(
     lu = step_lu if step_lu is not None else _step_factorization(g)
     for _ in range(cfg.max_outer + 1):
         if float((u * u).sum()) > 0.0:
-            if span:
-                u = _subspace_local_max(g, vvals, u, params, span, 0.1 * cfg.descent_tol)
-            else:
-                parts = _parts_raw(g, vvals, u, params)
-                u = _ray_peak_factor(parts, params) * u
+            u = _subspace_local_max(g, vvals, u, params, span, 0.1 * cfg.descent_tol)
         grad = _gradient_raw(g, vvals, u, params)
         z = precond.solve(grad)
         resid = _h1v_raw(g, vvals, z)
@@ -742,14 +735,9 @@ def descend(
             break
         scale = 1.0 if deflation is None else deflation.step_scale(u)
         e0 = _parts_raw(g, vvals, u, params).total
-        if params.lam > 0.0:
-            # step through the perturbation-aware linearization; the fixed
-            # operator only measures the residual above
-            lu.factor(_linearized_matrix(g, vvals, u, params))
-            result.factorizations += 1
-            step = lu.solve(grad)
-        else:
-            step = z
+        lu.factor(_linearized_matrix(g, vvals, u, params))
+        result.factorizations += 1
+        step = lu.solve(grad)
         pair = vol * float(grad @ step) * scale
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):

@@ -12,8 +12,8 @@ Two margin conventions are used deliberately:
   the inequality without normalisation, so a large field cannot mask a
   violation; they pass when the margin is nonnegative.
 
-``REGISTRY`` maps check names to the functions; the CLI iterates it to build
-``checks.csv`` rows, and tests reference checks only through these names.
+``REGISTRY`` maps check names to the functions: it is the closed set of
+check names, in the order ``checks.csv`` lists them.
 """
 
 from __future__ import annotations

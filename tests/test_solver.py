@@ -143,26 +143,6 @@ def _coo_linearized_matrix(g, vvals, u, params):
     return a_mat + sp.diags(diag)
 
 
-def _kron_fixed_operator(g, vvals):
-    """The Kronecker-sum assembly of (-Lap + V + 1) that the stencil
-    pattern replaced, kept as the reference for bit equality."""
-    n, h = g.points_per_dim, g.spacing
-    lap1 = sp.diags(
-        [np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)],
-        [-1, 0, 1], format="csr",
-    )
-    eye = sp.identity(n, format="csr")
-    a = None
-    for d in range(g.dim):
-        mats = [eye] * g.dim
-        mats[d] = lap1
-        term = mats[0]
-        for m in mats[1:]:
-            term = sp.kron(term, m, format="csr")
-        a = term if a is None else a + term
-    return a + sp.diags(vvals + 1.0)
-
-
 def _assert_bit_equal(got, want):
     got, want = got.tocsc(), want.tocsc()
     assert np.array_equal(got.indptr, want.indptr)
@@ -268,9 +248,9 @@ class TestStepOperators:
             want - sp.diags(3.0 + np.log(u * u + 1e-300)),
         )
 
-    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
-    def test_fixed_operator_is_bit_equal_to_the_kron_reference(self, dim, n, monkeypatch):
-        g = make_grid(dim, 3.0, n)
+    @staticmethod
+    def fixed_operator(g, potential, monkeypatch):
+        """The one matrix that ``Preconditioner(g, potential)`` factors."""
         factored = []
         factor = solver_mod._Factorization.factor
 
@@ -279,9 +259,24 @@ class TestStepOperators:
             factor(self, a)
 
         monkeypatch.setattr(solver_mod._Factorization, "factor", recorded)
-        Preconditioner(g, V_SHIFTED)
+        Preconditioner(g, potential)
         assert len(factored) == 1
-        _assert_bit_equal(factored[0], _kron_fixed_operator(g, V_SHIFTED.evaluate(g).values))
+        return factored[0]
+
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_fixed_operator_is_bit_equal_to_the_coo_reference(self, dim, n, monkeypatch):
+        g = make_grid(dim, 3.0, n)
+        vvals = V_SHIFTED.evaluate(g).values
+        want = _coo_linearized_matrix(g, vvals, np.zeros(g.npoints), PerturbationParams(lam=0.0))
+        _assert_bit_equal(self.fixed_operator(g, V_SHIFTED, monkeypatch), want)
+
+    @pytest.mark.parametrize("dim, n, mirror", QUOTIENT_GRIDS)
+    def test_fixed_operator_is_the_lambda_zero_step_operator(self, dim, n, mirror, monkeypatch):
+        # at lam = 0 the step operator does not depend on the iterate, so the
+        # fixed operator is bit-equal to it at any state
+        g, vvals, u = self.smooth_state(dim, n, mirror)
+        want = solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0))
+        _assert_bit_equal(self.fixed_operator(g, V_HARMONIC, monkeypatch), want)
 
 
 class TestBandedFactorization:
@@ -405,6 +400,22 @@ class TestDescend:
         assert res.converged
         assert res.iterations <= 5
         assert res.residual <= cfg.descent_tol * 10.0
+
+    def test_armijo_step_at_lambda_zero(self):
+        # a start far from the Gausson takes one Armijo step through the
+        # lam = 0 step operator before Newton; the run from near it takes none
+        g = make_grid(1, 6.0, 64)
+        r2 = g.radius_squared().reshape(-1)
+        params = PerturbationParams(lam=0.0)
+        res = descend(g, V_HARMONIC, Field(grid=g, values=np.exp(-r2 / 4.0)), params, MountainPassConfig())
+        assert res.converged
+        assert len(res.energy_steps) == 1 and res.newton_steps == 4
+        assert res.factorizations == res.iterations == 5
+        near = descend(g, V_HARMONIC, Field(grid=g, values=np.exp(-2.0 * r2)), params, MountainPassConfig())
+        assert near.converged and not near.energy_steps
+        energy = energy_total(g, V_HARMONIC, res.field, params)
+        assert energy == pytest.approx(energy_total(g, V_HARMONIC, near.field, params), rel=1e-12)
+        assert energy == pytest.approx(4.5908266747, rel=1e-10)
 
     def test_zero_start_is_fixed_point(self, grid1d):
         z = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
