@@ -3,9 +3,10 @@
 Finds critical points of the log-Schrodinger energy by regularising it with
 a small W^{1,p} term (p < 2), locating a mountain-pass point of the smooth
 perturbed functional, and continuing the solution as the perturbation is
-driven to zero.  Distinct solutions are obtained by deflating already-found
-ones out of the search.  Every structural identity the construction relies
-on is exposed as a named check in :mod:`lse.verify`.
+driven to zero.  Distinct solutions are obtained by deflation: already-found
+ones enter the saddle-free span that stabilizes each descent, which repels
+them.  Every structural identity the construction relies on is exposed as a
+named check in :mod:`lse.verify`.
 """
 
 from .energy import (
@@ -43,12 +44,7 @@ from .io_cli import (
     run,
     write_field,
 )
-from .multiplicity import (
-    DeflationSet,
-    ProximityError,
-    find_k_solutions,
-    structured_seed,
-)
+from .multiplicity import find_k_solutions, structured_seed
 from .solver import (
     CollapseError,
     ContinuationSchedule,
@@ -83,7 +79,6 @@ __all__ = [
     "ConfigError",
     "ContinuationSchedule",
     "ConvergenceFailure",
-    "DeflationSet",
     "DescentResult",
     "EnergyParts",
     "Field",
@@ -95,7 +90,6 @@ __all__ = [
     "MountainPassConfig",
     "MountainPassResult",
     "PerturbationParams",
-    "ProximityError",
     "Quartic",
     "REGISTRY",
     "RunSpec",

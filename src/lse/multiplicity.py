@@ -2,12 +2,12 @@
 
 Distinct solutions are obtained by rerunning the continuation from seeds
 with increasing oscillation (Hermite-function profiles) while *deflating*
-the descent direction against everything already found: the step is
-multiplied by prod_i (dist(u, u_i)^(-2) + 1), which blows up near stored
-solutions and tends to 1 far away, pushing iterates into fresh basins.
-Both u_i and -u_i are stored, since the energy is even and sign flips are
-not new solutions.  Solutions closer than ``_SEPARATION`` in the weighted
-Sobolev norm count as one.
+against everything already found: each descent equilibrates its iterate
+over the span of the stored solutions by saddle-free Newton steps (see
+``lse.solver._subspace_local_max``), which the stored solutions repel,
+pushing iterates into fresh basins.  One sign of each stored solution
+suffices, since the span of u_i is that of -u_i.  Solutions closer than
+``_SEPARATION`` in the weighted Sobolev norm, modulo sign, count as one.
 
 Each seed has a definite parity on every axis.  When the potential is
 mirror-symmetric (and the point count even), the seed is solved on the
@@ -18,14 +18,13 @@ energy restricted to a sector are critical points of the full energy
 unfolded to the full grid.  Otherwise every seed runs on the full grid.
 
 Finding k distinct fields this way is evidence for multiplicity, not a
-proof; the deflation operator is a computational surrogate for a
-topological minimax construction and is documented as such.
+proof; deflation is a computational surrogate for a topological minimax
+construction and is documented as such.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite as herm
@@ -44,64 +43,14 @@ from .solver import (
 )
 
 __all__ = [
-    "ProximityError",
-    "DeflationSet",
     "structured_seed",
     "find_k_solutions",
 ]
 
 log = logging.getLogger(__name__)
 
-# Deflation factor dist^(-_DEFLATION_POWER) + _DEFLATION_SHIFT per stored
-# solution, and the weighted-norm distance below which two solutions are the
-# same (an iterate within half of it of a stored one is rejected).
-_DEFLATION_POWER = 2.0
-_DEFLATION_SHIFT = 1.0
+# Weighted-norm distance, modulo sign, below which two solutions are the same.
 _SEPARATION = 0.1
-
-
-class ProximityError(RuntimeError):
-    """Iterate re-entered a deflated basin (closer than separation/2)."""
-
-
-@dataclass
-class DeflationSet:
-    """Stored solutions plus the deflation factor they induce.
-
-    The scaling applied to a descent direction at iterate u is prod over
-    stored s of (||u - s||_{H1_V}^(-2) + 1); an empty set scales by exactly
-    1.  The grid and potential are carried so the weighted norm is
-    computable without extra context.
-    """
-
-    grid: Grid
-    potential: object
-    solutions: list[Field] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        vv = self.potential.evaluate(self.grid).values
-        for s in self.solutions:
-            if s.grid != self.grid:
-                raise ValueError("stored solution lives on a different grid")
-        for i, a in enumerate(self.solutions):
-            for b in self.solutions[i + 1 :]:
-                d = _h1v_raw(self.grid, vv, a.values - b.values)
-                if d < _SEPARATION:
-                    raise ValueError(f"stored solutions {d:.3e} apart, below separation {_SEPARATION:g}")
-        self._vvals = vv
-
-    def step_scale(self, u_flat: np.ndarray) -> float:
-        """Deflation factor at the iterate; raises ProximityError inside
-        the _SEPARATION/2 guard band of any stored solution."""
-        factor = 1.0
-        for s in self.solutions:
-            d = _h1v_raw(self.grid, self._vvals, u_flat - s.values)
-            if d < 0.5 * _SEPARATION:
-                raise ProximityError(
-                    f"iterate within {d:.3e} of a deflated solution (guard {0.5 * _SEPARATION:g})"
-                )
-            factor *= d ** (-_DEFLATION_POWER) + _DEFLATION_SHIFT
-        return factor
 
 
 def structured_seed(g: Grid, j: int, potential) -> Field:
@@ -142,8 +91,9 @@ def find_k_solutions(
     runs on the quotient grid of its sector, axis-0 parity (-1)^(j-1) and
     even on every other axis, with V restricted to it; otherwise on the
     full grid.  Each attempt deflates against the lam-matched continuation
-    trajectories of everything accepted so far in its sector, so stage i of
-    a new run avoids stage i of the old ones.  Candidates whose unfolded
+    trajectories of everything accepted so far in its sector: stage i of a
+    new run holds stage i of the old ones in its saddle-free span (one sign
+    each), which repels it from them.  Candidates whose unfolded
     field is closer than ``_SEPARATION`` to +-(an accepted solution) are
     rejected as duplicates.  Returns the accepted full-grid fields with
     their energies and the reports of ``continue_to_limit``, sorted by
@@ -154,22 +104,10 @@ def find_k_solutions(
     vv = potential.evaluate(g).values
     nd = vv.reshape(g.shape)
     folds = g.points_per_dim % 2 == 0 and all(np.array_equal(nd, np.flip(nd, axis=d)) for d in range(g.dim))
-    # parity sector -> (grid, potential, preconditioner, accepted reports)
+    # parity sector -> (grid, potential, preconditioner, accepted trajectories)
     sectors: dict[tuple[int, ...], tuple] = {}
     accepted: list[tuple[Field, float, SolveReport]] = []
     tried = 0  # seeds that reached continue_to_limit
-
-    def deflation_for_stage(i: int):
-        # the sector (sg, sv, reports) of the running attempt
-        if not reports:
-            return None
-        sols: list[Field] = []
-        for rep in reports:
-            traj = rep.trajectory[min(i, len(rep.trajectory) - 1)]
-            sols.append(traj)
-            sols.append(Field(grid=sg, values=-traj.values))
-        return DeflationSet(grid=sg, potential=sv, solutions=sols)
-
     for attempt in range(1, 3 * k + 1):
         if len(accepted) >= k:
             break
@@ -180,7 +118,7 @@ def find_k_solutions(
                 sg = quotient_grid(g, key)
                 sv = Tabulated(values=Field(grid=sg, values=nd[(slice(sg.points_per_dim, None),) * g.dim]))
             sectors[key] = (sg, sv, Preconditioner(sg, sv), [])
-        sg, sv, precond, reports = sectors[key]
+        sg, sv, precond, trajectories = sectors[key]
         try:
             seed = structured_seed(sg, attempt, sv)
         except ValueError as exc:
@@ -190,9 +128,9 @@ def find_k_solutions(
         try:
             u, rep = continue_to_limit(
                 sg, sv, sched, params, cfg,
-                seed=seed, deflation_for_stage=deflation_for_stage, precond=precond,
+                seed=seed, trajectories=trajectories, precond=precond,
             )
-        except (CollapseError, ConvergenceFailure, GeometryFailure, ProximityError) as exc:
+        except (CollapseError, ConvergenceFailure, GeometryFailure) as exc:
             log.info("seed %d did not produce a solution: %s", attempt, exc)
             continue
         log.info("seed %d solved: %d Newton steps, %d step and Newton factorizations",
@@ -211,7 +149,7 @@ def find_k_solutions(
         if dup:
             continue
         accepted.append((u, rep.records[-1].energy, rep))
-        reports.append(rep)
+        trajectories.append(rep.trajectory)
 
     accepted.sort(key=lambda item: item[1])
     if len(accepted) < k:

@@ -35,7 +35,8 @@ Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
 ``_newton_polish``: damped Newton on the true Jacobian ``_newton_matrix``,
 accepting only steps that lower the residual.  Near a critical point it
 converges in a few steps whatever the Morse index, so it needs neither the
-ray rescale nor deflation; warm-started lam stages typically start there.
+ray rescale nor the deflation span; warm-started lam stages typically start
+there.
 On SuperLU grids a Newton Jacobian factor is kept for chord steps while
 they contract the residual by ``_CHORD_THETA``, across iterates and lam
 stages alike: ``continue_to_limit`` makes one step owner per solve and
@@ -57,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -496,11 +498,13 @@ def _subspace_local_max(
     coordinates.  With no other direction in the span it returns the exact
     peak of the ray through u.
 
-    The span serves deflation, which supplies previously found solutions:
-    near a higher critical point the extra downhill directions (besides the
-    ray) point roughly along the found solutions, so equilibrating over
-    their span stabilizes the outer descent the same way the exact 1-d ray
-    solve does for the ground state.  Each step solves with |H|, the in-span
+    The span is how deflation works: ``others`` are the previously found
+    solutions (one sign each; a direction collinear with an earlier column,
+    such as -s after s, is dropped).  Near a higher critical point the extra
+    downhill directions (besides the ray) point roughly along the found
+    solutions, so equilibrating over their span stabilizes the outer descent
+    the same way the exact 1-d ray solve does for the ground state.  Each
+    step solves with |H|, the in-span
     Hessian with its eigenvalues replaced by their moduli (Dauphin et al.,
     NeurIPS 2014), so it ascends along every eigendirection.  Plain Newton
     would also converge onto the stored solutions, which are critical points
@@ -611,7 +615,6 @@ def _newton_polish(
     lu: _Factorization | _BandedFactorization,
     result: DescentResult,
     *,
-    deflation=None,
     mass_floor: float = 0.0,
 ) -> np.ndarray:
     """Damped Newton iteration on el_gradient = 0, monotone in the
@@ -637,8 +640,6 @@ def _newton_polish(
         return gnew, _h1v_raw(g, vvals, precond.solve(gnew))
 
     while resid > cfg.descent_tol and result.iterations < cfg.max_outer:
-        if deflation is not None:
-            deflation.step_scale(u)  # proximity guard only
         rnew = np.inf
         if lu.holds_jacobian:
             cand = u - lu.solve(grad)
@@ -683,7 +684,7 @@ def descend(
     params: PerturbationParams,
     cfg: MountainPassConfig,
     *,
-    deflation=None,
+    deflation: Sequence[Field] = (),
     mass_floor: float = 0.0,
     precond: Preconditioner | None = None,
     step_lu: _Factorization | _BandedFactorization | None = None,
@@ -694,16 +695,15 @@ def descend(
     Terminates when the preconditioned residual (weighted Sobolev norm of
     the direction z) drops to cfg.descent_tol, or at cfg.max_outer.  Before
     every step ``_subspace_local_max`` stabilizes a nonzero iterate: it
-    moves it to the peak of its own ray, or, when deflation stores previous
-    solutions, to the nearby in-span stationary point.  Each Armijo step
-    factors ``_linearized_matrix`` at the iterate.  Once the residual is at
-    most ``_NEWTON_RESID`` the rest of the budget goes to
-    ``_newton_polish``.
-    ``deflation`` may supply a ``step_scale(u_flat)`` factor (see the
-    deflation operator); ``mass_floor`` aborts with the collapsed flag when
-    the iterate's mass integral falls below it.  ``step_lu`` is the owner of
-    the step and Newton factorizations (a new ``_step_factorization(g)`` if
-    None); a Newton factor it holds on entry may serve as a chord step.
+    moves it to the peak of its own ray, or, when ``deflation`` holds
+    previously found solutions (fields on g), to the nearby in-span
+    stationary point, away from them.  Each Armijo step factors
+    ``_linearized_matrix`` at the iterate.  Once the residual is at most
+    ``_NEWTON_RESID`` the rest of the budget goes to ``_newton_polish``.
+    ``mass_floor`` aborts with the collapsed flag when the iterate's mass
+    integral falls below it.  ``step_lu`` is the owner of the step and
+    Newton factorizations (a new ``_step_factorization(g)`` if None); a
+    Newton factor it holds on entry may serve as a chord step.
     """
     vvals = potential.evaluate(g).values
     if precond is None:
@@ -711,7 +711,7 @@ def descend(
     vol = g.weight
     u = np.array(u0.values)
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
-    span = [s.values for s in deflation.solutions] if deflation is not None else []
+    span = [s.values for s in deflation]
     lu = step_lu if step_lu is not None else _step_factorization(g)
     for _ in range(cfg.max_outer + 1):
         if float((u * u).sum()) > 0.0:
@@ -728,20 +728,16 @@ def descend(
         if resid <= _NEWTON_RESID:
             # near a critical point Newton on the full residual converges in
             # a few steps and needs no ray or deflation stabilization
-            u = _newton_polish(
-                g, vvals, u, grad, resid, params, cfg, precond, lu, result,
-                deflation=deflation, mass_floor=mass_floor,
-            )
+            u = _newton_polish(g, vvals, u, grad, resid, params, cfg, precond, lu, result, mass_floor=mass_floor)
             break
-        scale = 1.0 if deflation is None else deflation.step_scale(u)
         e0 = _parts_raw(g, vvals, u, params).total
         lu.factor(_linearized_matrix(g, vvals, u, params))
         result.factorizations += 1
         step = lu.solve(grad)
-        pair = vol * float(grad @ step) * scale
+        pair = vol * float(grad @ step)
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
-            cand = u - (alpha * scale) * step
+            cand = u - alpha * step
             e1 = _parts_raw(g, vvals, cand, params).total
             if np.isfinite(e1) and e1 <= e0 - _ARMIJO_C1 * alpha * pair:
                 break
@@ -785,7 +781,7 @@ def mountain_pass(
     cfg: MountainPassConfig,
     *,
     seed: Field | None = None,
-    deflation=None,
+    deflation: Sequence[Field] = (),
     precond: Preconditioner | None = None,
     step_lu: _Factorization | _BandedFactorization | None = None,
 ) -> MountainPassResult:
@@ -796,7 +792,7 @@ def mountain_pass(
     maximum over the path t -> t e from 0.  Raises ValueError for a zero
     seed and GeometryFailure if I_lam(2^60 e) >= 0: the ray profile crosses
     zero once, so then no point of the ray up to 2^60 e is negative.
-    ``step_lu`` is passed on to ``descend``.
+    ``deflation`` and ``step_lu`` are passed on to ``descend``.
     """
     validate_potential(g, potential)
     if params.lam <= 0.0:
@@ -820,8 +816,8 @@ def mountain_pass(
     return MountainPassResult(field=res.field, c_lambda=c_lam, path_max=path_max, descent=res)
 
 
-def _stage_record(g, vvals, u: np.ndarray, params, res: DescentResult) -> LambdaRecord:
-    parts = _parts_raw(g, vvals, u, params)
+def _stage_record(g, vvals, u: np.ndarray, params, res: DescentResult, parts) -> LambdaRecord:
+    """The LambdaRecord of a converged stage, given the energy parts of u."""
     raw = _gradient_raw(g, vvals, u, params)
     vol = g.weight
     if params.lam > 0.0:
@@ -848,14 +844,15 @@ def continue_to_limit(
     cfg: MountainPassConfig,
     *,
     seed: Field | None = None,
-    deflation_for_stage=None,
+    trajectories: Sequence[Sequence[Field]] = (),
     precond: Preconditioner | None = None,
 ) -> tuple[Field, SolveReport]:
     """Mountain pass at lambda_start, then warm-started continuation to lam = 0.
 
-    ``deflation_for_stage`` may be a callable stage_index -> deflation
-    operator (or None), where stage indices follow the schedule order with
-    the final lam = 0 polish last.  Every stage shares one step owner
+    ``trajectories`` are the ``SolveReport.trajectory`` lists of earlier
+    solves on the same grid and schedule; stage i (in schedule order, the
+    final lam = 0 polish last) deflates against [t[i] for t in
+    trajectories].  Every stage shares one step owner
     (``_step_factorization``), made here and released on return, so a
     Newton factor of one stage may serve the next but never another solve.
     Raises CollapseError if the limit field is trivial (mass below 1e-6).
@@ -869,28 +866,31 @@ def continue_to_limit(
     lams = sched.lambdas() + [0.0]
     lu = _step_factorization(g)
 
-    def defl(i: int):
-        return deflation_for_stage(i) if deflation_for_stage is not None else None
-
-    def record(field: Field, par: PerturbationParams, res: DescentResult) -> None:
-        report.records.append(_stage_record(g, vvals, field.values, par, res))
+    def record(field: Field, par: PerturbationParams, res: DescentResult):
+        """Append the stage to the report; returns its energy parts."""
+        parts = _parts_raw(g, vvals, field.values, par)
+        report.records.append(_stage_record(g, vvals, field.values, par, res, parts))
         report.trajectory.append(field)
         report.newton_steps += res.newton_steps
         report.factorizations += res.factorizations
+        return parts
 
     try:
         par = replace(params, lam=lams[0])
-        mp = mountain_pass(g, potential, par, cfg, seed=seed, deflation=defl(0), precond=precond, step_lu=lu)
+        mp = mountain_pass(
+            g, potential, par, cfg,
+            seed=seed, deflation=[t[0] for t in trajectories], precond=precond, step_lu=lu,
+        )
         report.m2_estimate = mp.path_max
         record(mp.field, par, mp.descent)
         for i, lam in enumerate(lams[1:], start=1):
             par = replace(params, lam=lam)
             res = descend(
                 g, potential, report.trajectory[-1], par, cfg,
-                deflation=defl(i), mass_floor=_MASS_FLOOR, precond=precond, step_lu=lu,
+                deflation=[t[i] for t in trajectories], mass_floor=_MASS_FLOOR, precond=precond, step_lu=lu,
             )
             _raise_unless_converged(res, lam, f"continuation stage lam={lam:g}")
-            record(res.field, par, res)
+            parts = record(res.field, par, res)  # the last stage is at lam = 0
     finally:
         lu.release()
 
@@ -899,7 +899,6 @@ def continue_to_limit(
     mass = vol * float((u * u).sum())
     if mass < 1e-6:
         raise CollapseError(f"trivial limit: mass integral {mass:.3e} below 1e-6 (run rejected)")
-    parts = _parts_raw(g, vvals, u, replace(params, lam=0.0))
     lhs = parts.grad_sq + parts.v_mass
     report.nehari_margin = abs(lhs - parts.log_int) / (1.0 + abs(lhs))
     report.energy_mass_defect = abs(parts.total - 0.5 * parts.mass)

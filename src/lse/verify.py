@@ -61,7 +61,8 @@ class CheckResult:
     for identities, signed slack for inequalities); ``passed`` encodes the
     correct comparison so consumers never need to know which kind they got.
     ``digest`` records the inputs that determined the number (grid shape and
-    any parameters), for log and CSV traceability.
+    any parameters) for callers that keep the result; neither
+    ``checks.csv`` nor the checks the CLI prints carry it.
     """
 
     name: str

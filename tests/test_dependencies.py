@@ -1,11 +1,14 @@
 """The package imports no third-party module beyond numpy and three scipy
-modules (ROADMAP item 6)."""
+modules (ROADMAP item 6), and every name it exports exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import lse
 
 ALLOWED = {"numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg.lapack"}
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lse").glob("*.py"))
@@ -76,3 +79,12 @@ def test_solver_modules_supply_only_the_two_factorizations():
             if module in taken:
                 taken[module] |= names
     assert taken == PINNED
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only on ``from ... import *``
+    missing = []
+    for path in SOURCES:
+        module = importlib.import_module("lse" if path.stem == "__init__" else f"lse.{path.stem}")
+        missing += [f"{module.__name__}.{name}" for name in module.__all__ if not hasattr(module, name)]
+    assert lse.__all__ and not missing, missing

@@ -1,4 +1,4 @@
-"""Deflation, structured seeds, and the k-solution driver."""
+"""Structured seeds and the k-solution driver with its deflation."""
 
 from __future__ import annotations
 
@@ -12,15 +12,8 @@ import lse.multiplicity as multiplicity_mod
 import lse.solver as solver_mod
 from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated
 from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v
-from lse.multiplicity import (
-    DeflationSet,
-    ProximityError,
-    find_k_solutions,
-    structured_seed,
-)
+from lse.multiplicity import find_k_solutions, structured_seed
 from lse.solver import ContinuationSchedule, MountainPassConfig, continue_to_limit
-
-from conftest import random_field
 
 V_HARMONIC = Harmonic(2.0)
 V_SHIFTED = Shifted(Harmonic(2.0), 1.0)
@@ -34,56 +27,6 @@ def gmid():
 def _sign_changes(values):
     trimmed = values[np.abs(values) > 1e-9 * np.abs(values).max()]
     return int(np.count_nonzero(np.diff(np.sign(trimmed)) != 0))
-
-
-def _unit_direction(g, potential, rng):
-    e = random_field(g, rng)
-    return Field(grid=g, values=e.values / norm_h1v(g, potential, e))
-
-
-class TestDeflationSet:
-    def test_empty_set_leaves_direction_unchanged(self, gmid):
-        ds = DeflationSet(grid=gmid, potential=V_HARMONIC)
-        u = random_field(gmid, np.random.default_rng(1))
-        assert ds.step_scale(u.values) == 1.0
-
-    def test_unit_distance_doubles_direction(self, gmid):
-        rng = np.random.default_rng(2)
-        anchor = random_field(gmid, rng)
-        ds = DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[anchor])
-        # place the iterate at weighted distance exactly 1 from the anchor
-        step = _unit_direction(gmid, V_HARMONIC, rng)
-        u = Field(grid=gmid, values=anchor.values + step.values)
-        assert ds.step_scale(u.values) == pytest.approx(2.0, rel=1e-10)
-
-    def test_far_iterate_scale_tends_to_shift(self, gmid):
-        rng = np.random.default_rng(3)
-        anchor = random_field(gmid, rng, scale=0.01)
-        ds = DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[anchor])
-        step = _unit_direction(gmid, V_HARMONIC, rng)
-        u = Field(grid=gmid, values=anchor.values + 1e6 * step.values)
-        assert ds.step_scale(u.values) == pytest.approx(1.0, abs=1e-10)
-
-    def test_proximity_guard(self, gmid):
-        rng = np.random.default_rng(4)
-        anchor = random_field(gmid, rng)
-        ds = DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[anchor])
-        step = _unit_direction(gmid, V_HARMONIC, rng)
-        u = Field(grid=gmid, values=anchor.values + 0.01 * step.values)
-        with pytest.raises(ProximityError):
-            ds.step_scale(u.values)
-
-    def test_construction_rejects_close_pair(self, gmid):
-        rng = np.random.default_rng(6)
-        a = random_field(gmid, rng)
-        b = Field(grid=gmid, values=a.values + 1e-4 * _unit_direction(gmid, V_HARMONIC, rng).values)
-        with pytest.raises(ValueError, match="separation"):
-            DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[a, b])
-
-    def test_grid_mismatch(self, gmid, grid1d):
-        stray = Field(grid=grid1d, values=np.ones(grid1d.npoints))
-        with pytest.raises(ValueError):
-            DeflationSet(grid=gmid, potential=V_HARMONIC, solutions=[stray])
 
 
 class TestStructuredSeed:
@@ -201,6 +144,35 @@ class TestFindKSolutions:
         )
         assert len(calls) == 4
         assert [_sign_changes(u.values) for u, _, _ in sols] == [0, 1, 2, 3]
+
+    def test_each_stage_deflates_against_the_same_stage_of_accepted_solves(self, monkeypatch):
+        # on a full grid (odd n) every seed shares one sector, so stage i of
+        # each attempt stores stage i of every solve accepted before it, one
+        # sign each
+        g = make_grid(1, 8.0, 255)
+        stages, reports = [], []  # per solve: the fields stored at each stage; its report
+        descend, solve = solver_mod.descend, multiplicity_mod.continue_to_limit
+
+        def recorded(*args, deflation=(), **kwargs):
+            stages[-1].append(list(deflation))
+            return descend(*args, deflation=deflation, **kwargs)
+
+        def per_solve(*args, **kwargs):
+            stages.append([])
+            out = solve(*args, **kwargs)
+            reports.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver_mod, "descend", recorded)
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", per_solve)
+        sols = find_k_solutions(
+            g, V_SHIFTED, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 3,
+        )
+        assert len(sols) == len(reports) == 3
+        for j, (stored_per_stage, rep) in enumerate(zip(stages, reports, strict=True)):
+            assert len(stored_per_stage) == len(rep.trajectory) == 6
+            for i, stored in enumerate(stored_per_stage):
+                assert [id(s) for s in stored] == [id(prev.trajectory[i]) for prev in reports[:j]]
 
     def test_sign_flips_identified_as_duplicates(self, gmid, monkeypatch, caplog):
         # seed 3 (the even sector again) is made to return the negated

@@ -17,7 +17,7 @@ from lse.energy import (
     energy_total,
 )
 from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p, quotient_grid
-from lse.multiplicity import DeflationSet, structured_seed
+from lse.multiplicity import structured_seed
 from lse.solver import (
     CollapseError,
     ContinuationSchedule,
@@ -558,25 +558,30 @@ class TestNewtonFinish:
         g, precond, events = superlu2d
         iterates = self.newton_iterates(monkeypatch, jacobian_scale=jacobian_scale)
         params = PerturbationParams(lam=0.1, p=1.5)
-        starts = []
 
-        class StepStarts:
-            """A deflation with no solutions that records each step's iterate."""
+        def run(**budget):
+            """The descent from the Gausson with its own step owner, and the
+            owner's calls and the Jacobian iterates it made."""
+            events.clear()
+            iterates.clear()
+            res = descend(g, V_HARMONIC, gausson_field(g), params, MountainPassConfig(**budget), precond=precond)
+            return res, list(events), list(iterates)
 
-            solutions = []
-
-            def step_scale(self, u):
-                starts.append(u.copy())
-                events.append("start")
-                return 1.0
-
-        res = descend(
-            g, V_HARMONIC, gausson_field(g), params, MountainPassConfig(), precond=precond, deflation=StepStarts()
-        )
+        res, _, jacobians = run()
+        # the descent is deterministic, so a run cut after m steps ends where
+        # step m + 1 of the full run starts, with the full run's first m steps
+        # logged; a tolerance met at once gives the start of step 1
+        starts, logs = [run(descent_tol=1e9)[0].field.values], [[]]
+        for m in range(1, res.iterations + 1):
+            cut, log, _ = run(max_outer=m)
+            assert cut.iterations == m
+            starts.append(cut.field.values)
+            logs.append(log)
+        assert np.array_equal(starts.pop(), res.field.values)
         assert res.converged
         assert res.newton_steps == res.iterations == len(starts)
         # the owner's calls per step: a chord trial is a solve before any factor
-        steps = [tuple(step.split()) for step in " ".join(events).split("start")[1:]]
+        steps = [tuple(b[len(a):]) for a, b in zip(logs, logs[1:])]
         kept, newton, refactored = ("solve",), ("factor", "solve"), ("solve", "factor", "solve")
         assert steps[0] == newton and set(steps) <= {kept, newton, refactored}
         if jacobian_scale == 1.0:
@@ -585,7 +590,7 @@ class TestNewtonFinish:
             assert steps[1:] == [refactored] * (res.newton_steps - 1) and res.newton_steps >= 3
         # every factor is of the Jacobian at its step's iterate
         factored = [u for u, step in zip(starts, steps) if "factor" in step]
-        assert all(np.array_equal(a, b) for a, b in zip(iterates, factored, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(jacobians, factored, strict=True))
         resid = [self.residual(g, precond, params, u) for u in starts + [res.field.values]]
         assert all(b < a for a, b in zip(resid, resid[1:]))
 
@@ -606,28 +611,50 @@ class TestNewtonFinish:
         """On the odd quotient grid of n=32, the j=2 seed deflated against
         the j=4 seed, at lam=0.1."""
         g = quotient_grid(make_grid(1, 4.0, 32), (-1,))
-        ds = DeflationSet(grid=g, potential=V_HARMONIC, solutions=[structured_seed(g, 4, V_HARMONIC)])
-        return g, ds, structured_seed(g, 2, V_HARMONIC)
+        return g, [structured_seed(g, 4, V_HARMONIC)], structured_seed(g, 2, V_HARMONIC)
 
     def test_deflated_start_converges_without_a_newton_crawl(self):
         # with plain Newton steps in the deflation span this start reaches
         # the Newton finish where it needs 98 steps; the saddle-free steps
         # hand it over where two suffice
-        g, ds, u0 = self.deflated_start()
-        res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), MountainPassConfig(), deflation=ds)
+        g, stored, u0 = self.deflated_start()
+        res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), MountainPassConfig(), deflation=stored)
         assert res.converged
         assert res.iterations <= 20
 
     def test_deflated_newton_steps_count_against_the_budget(self):
         # this start enters the Newton finish after 12 descent steps and
         # needs two Newton steps; the budget stops it after one
-        g, ds, u0 = self.deflated_start()
+        g, stored, u0 = self.deflated_start()
         cfg = MountainPassConfig(max_outer=13)
-        res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), cfg, deflation=ds)
+        res = descend(g, V_HARMONIC, u0, PerturbationParams(lam=0.1, p=1.5), cfg, deflation=stored)
         assert res.iterations - res.newton_steps >= 1
         assert res.newton_steps >= 1
         assert res.iterations <= cfg.max_outer
         assert not res.converged
+
+    def test_one_sign_of_a_stored_solution_suffices(self, monkeypatch):
+        # -s spans the same line as s, so the stabilizer drops it and the
+        # descent takes the same iterates bit for bit
+        g, stored, u0 = self.deflated_start()
+        stabilized = []
+        subspace = solver_mod._subspace_local_max
+
+        def recorded(*args):
+            stabilized.append(subspace(*args))
+            return stabilized[-1]
+
+        monkeypatch.setattr(solver_mod, "_subspace_local_max", recorded)
+        params, runs = PerturbationParams(lam=0.1, p=1.5), []
+        for deflation in (stored, stored + [Field(grid=g, values=-stored[0].values)]):
+            stabilized.clear()
+            res = descend(g, V_HARMONIC, u0, params, MountainPassConfig(), deflation=deflation)
+            runs.append((res, list(stabilized)))
+        (one, one_iterates), (both, both_iterates) = runs
+        assert one.converged and one.iterations == both.iterations
+        assert len(one_iterates) == len(both_iterates) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(one_iterates, both_iterates))
+        assert np.array_equal(one.field.values, both.field.values)
 
 
 @pytest.fixture(scope="module")
