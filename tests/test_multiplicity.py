@@ -174,6 +174,32 @@ class TestFindKSolutions:
             for i, stored in enumerate(stored_per_stage):
                 assert [id(s) for s in stored] == [id(prev.trajectory[i]) for prev in reports[:j]]
 
+    def test_attempts_deflate_only_against_their_own_sector(self, gmid, monkeypatch):
+        # the harmonic V is mirror symmetric and n is even, so odd seeds run on
+        # the even quotient grid and even seeds on the odd one; an attempt
+        # stores only the solves accepted before it in its own sector
+        calls = []  # per attempt: its grid, the trajectories it stored, its report
+        solve = multiplicity_mod.continue_to_limit
+
+        def recorded(sg, *args, trajectories=(), **kwargs):
+            ids = [id(t) for t in trajectories]
+            out = solve(sg, *args, trajectories=trajectories, **kwargs)
+            calls.append((sg, ids, out[1]))
+            return out
+
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", recorded)
+        sols = find_k_solutions(
+            gmid, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 4,
+        )
+        assert len(sols) == 4
+        grids = [sg for sg, _, _ in calls]
+        assert grids[0] is not grids[1] and all(sg is grids[j % 2] for j, sg in enumerate(grids))
+        kept = {id(rep) for _, _, rep in sols}
+        for j, (sg, ids, _) in enumerate(calls):
+            earlier = [rep for prev, _, rep in calls[:j] if prev is sg and id(rep) in kept]
+            assert ids == [id(rep.trajectory) for rep in earlier]
+        assert [len(ids) for _, ids, _ in calls[:4]] == [0, 0, 1, 1]
+
     def test_sign_flips_identified_as_duplicates(self, gmid, monkeypatch, caplog):
         # seed 3 (the even sector again) is made to return the negated
         # solution of seed 1; the driver must fold it onto the stored one

@@ -822,3 +822,65 @@ class TestContinueToLimit:
     def test_nontrivial_mass(self, ground_run):
         _, report = ground_run
         assert report.records[-1].mass >= 1e-6
+
+    def test_limit_checks_use_the_final_record_parts(self, ground_run, grid_mid):
+        # the margin and defect come from the lam = 0 parts of the last
+        # record, bit for bit
+        u, report = ground_run
+        vvals = V_HARMONIC.evaluate(grid_mid).values
+        parts = solver_mod._parts_raw(grid_mid, vvals, u.values, PerturbationParams(lam=0.0, p=1.5))
+        lhs = parts.grad_sq + parts.v_mass
+        assert report.records[-1].energy == parts.total
+        assert report.records[-1].mass == parts.mass
+        assert report.nehari_margin == abs(lhs - parts.log_int) / (1.0 + abs(lhs))
+        assert report.energy_mass_defect == abs(parts.total - 0.5 * parts.mass)
+
+    def test_each_stage_evaluates_its_energy_parts_once(self, grid_mid, monkeypatch):
+        # outside its searches, a solve evaluates the energy parts once per
+        # stage, at the stage's lam; the limit checks add no evaluation
+        lams, depth = [], []
+        parts_raw = solver_mod._parts_raw
+
+        def counted(*args):
+            if not depth:
+                lams.append(args[3].lam)
+            return parts_raw(*args)
+
+        def nested(search):
+            def wrapped(*args, **kwargs):
+                depth.append(search)
+                try:
+                    return search(*args, **kwargs)
+                finally:
+                    depth.pop()
+
+            return wrapped
+
+        monkeypatch.setattr(solver_mod, "_parts_raw", counted)
+        monkeypatch.setattr(solver_mod, "descend", nested(solver_mod.descend))
+        monkeypatch.setattr(solver_mod, "mountain_pass", nested(solver_mod.mountain_pass))
+        _, report = continue_to_limit(
+            grid_mid, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig()
+        )
+        assert lams == [rec.lam for rec in report.records]
+        assert lams[-1] == 0.0
+
+    def test_stage_i_deflates_against_stage_i_of_each_trajectory(self, ground_run, grid_mid, monkeypatch):
+        # the stored solve's stage i enters stage i of the new one, one sign,
+        # the mountain pass's descent being stage 0
+        _, ground = ground_run
+        stored = []
+        descend_fn = solver_mod.descend
+
+        def recorded(*args, deflation=(), **kwargs):
+            stored.append(list(deflation))
+            return descend_fn(*args, deflation=deflation, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "descend", recorded)
+        _, report = continue_to_limit(
+            grid_mid, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(),
+            seed=structured_seed(grid_mid, 2, V_HARMONIC), trajectories=[ground.trajectory],
+        )
+        assert len(stored) == len(report.records) == len(ground.trajectory)
+        for i, fields in enumerate(stored):
+            assert [id(f) for f in fields] == [id(ground.trajectory[i])]
