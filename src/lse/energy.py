@@ -17,6 +17,11 @@ algebraic identity
     2 I_lam(u) - <I_lam'(u), u> = (2-p)/p * lam * (p-terms) + integral u^2
 
 holds to round-off, not just to O(eps).
+
+The raw kernels ``_parts_raw`` and ``_gradient_raw`` take one flat field or
+a (B, N) batch of them, and give each row the bytes of its call alone, so
+independent fields (the difference points of the solver's subspace
+Hessian, the trials of the gradient check) cost one call.
 """
 
 from __future__ import annotations
@@ -208,18 +213,27 @@ def _edge_weights(comp: np.ndarray, p: float) -> np.ndarray:
     return (comp * comp + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
 
 
+def _point_sum(values: np.ndarray):
+    """Sum over the points of a flat field (a float), or of each row of a
+    batch of shape (B, N) (an array of B values)."""
+    total = values.sum(axis=-1)
+    return total if values.ndim > 1 else float(total)
+
+
 def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> EnergyParts:
-    """energy_parts on raw flat arrays (no Field validation); solver hot path."""
+    """energy_parts on raw flat arrays (no Field validation); solver hot path.
+    For a batch u of shape (B, N) every part is an array of B values, each
+    bit-equal to the part of its row alone."""
     vol = g.weight
-    nd = u.reshape(g.shape)
+    nd = u.reshape(u.shape[:-1] + g.shape)
     comps = _gradient_components(g, nd)
     grad_sq = _edge_integral(g, [c * c for c in comps])
-    v_mass = float((vvals * u * u).sum()) * vol
-    mass = float((u * u).sum()) * vol
-    log_int = float(log_density(u).sum()) * vol
+    v_mass = _point_sum(vvals * u * u) * vol
+    mass = _point_sum(u * u) * vol
+    log_int = _point_sum(log_density(u)) * vol
     if params.lam > 0.0:
         p_grad = _edge_integral(g, [_edge_weights(c, params.p) * c * c for c in comps])
-        p_mass = float((np.abs(u) ** params.p).sum()) * vol
+        p_mass = _point_sum(np.abs(u) ** params.p) * vol
     else:
         p_grad = p_mass = 0.0
     return EnergyParts(
@@ -246,14 +260,15 @@ def energy_total(g: Grid, potential, u: Field, params: PerturbationParams) -> fl
 
 
 def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
-    """el_gradient on raw flat arrays (no Field validation); solver hot path."""
-    nd = u.reshape(g.shape)
+    """el_gradient on raw flat arrays (no Field validation); solver hot path.
+    A batch u of shape (B, N) gives the B gradients as rows."""
+    nd = u.reshape(u.shape[:-1] + g.shape)
     comps = _gradient_components(g, nd)
-    lap = _neg_div(g, comps).reshape(-1)
+    lap = _neg_div(g, comps).reshape(u.shape)
     core = lap + vvals * u - np.asarray(log_nonlin(u))
     if params.lam > 0.0:
         fluxes = [_edge_weights(c, params.p) * c for c in comps]
-        p_part = _neg_div(g, fluxes).reshape(-1) + np.sign(u) * np.abs(u) ** (params.p - 1.0)
+        p_part = _neg_div(g, fluxes).reshape(u.shape) + np.sign(u) * np.abs(u) ** (params.p - 1.0)
         core = core + params.lam * p_part
     return core
 

@@ -33,7 +33,9 @@ With both boundary edges included the discrete identity
 holds to machine precision, which the energy routines rely on.  Each of
 these quantities has one raw-array kernel here (``_gradient_components``,
 ``_neg_div``, ``_edge_integral``, ``_grad_sq``, ``_h1v_raw``) that the
-Field-validated public functions and the solver's hot path share.
+Field-validated public functions and the solver's hot path share.  The
+first three also take batch axes ahead of the grid axes, one field per
+row, and give each row the bytes of its call alone.
 """
 
 from __future__ import annotations
@@ -192,11 +194,13 @@ def _require_same_grid(g: Grid, u: Field) -> None:
 
 def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
     """Edge-difference components of an nd value array (zero exterior; the
-    first edge of a quotient axis differences against the mirror point)."""
+    first edge of a quotient axis differences against the mirror point).
+    Batch axes ahead of the grid axes are kept in every component."""
     comps = []
     for d in range(g.dim):
-        lead = (slice(None),) * d
-        c = np.empty(nd.shape[:d] + (nd.shape[d] + 1,) + nd.shape[d + 1:])
+        axis = nd.ndim - g.dim + d
+        lead = (slice(None),) * axis
+        c = np.empty(nd.shape[:axis] + (nd.shape[axis] + 1,) + nd.shape[axis + 1:])
         if g.mirror:  # u minus its mirror image parity * u
             c[lead + (0,)] = (1 - g.mirror[d]) * nd[lead + (0,)]
         else:  # u minus the zero exterior
@@ -221,10 +225,11 @@ def forward_gradient(g: Grid, u: Field) -> tuple[np.ndarray, ...]:
 
 
 def _neg_div(g: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
-    """Negative divergence of per-axis edge fluxes, back on the points."""
-    out = np.zeros(g.shape)
+    """Negative divergence of per-axis edge fluxes, back on the points
+    (batch axes ahead of the grid axes are kept)."""
+    out = np.zeros(fluxes[0].shape[: fluxes[0].ndim - g.dim] + g.shape)
     for d, f in enumerate(fluxes):
-        out -= np.diff(f, axis=d) / g.spacing
+        out -= np.diff(f, axis=d - g.dim) / g.spacing
     return out
 
 
@@ -241,16 +246,20 @@ def integrate(g: Grid, u: Field) -> float:
     return float(g.weight * u.values.sum())
 
 
-def _edge_integral(g: Grid, per_axis) -> float:
+def _edge_integral(g: Grid, per_axis):
     """Sum of per-axis edge arrays, functions of the gradient components
     that vanish with them, times the point weight.  Each edge carries the
     weight of a grid point, and a mirror edge, which a quotient shares with
-    its image, half of it; an even one is 0 and skipped."""
-    total = sum(float(c.sum()) for c in per_axis)
+    its image, half of it; an even one is 0 and skipped.  A float for one
+    field; with batch axes ahead of the grid axes, an array of one value
+    per field."""
+    batch = per_axis[0].ndim - g.dim
+    total = sum(c.reshape(c.shape[:batch] + (-1,)).sum(axis=-1) for c in per_axis)
     for d, parity in enumerate(g.mirror):
         if parity < 0:
-            total -= 0.5 * float(per_axis[d][(slice(None),) * d + (0,)].sum())
-    return total * g.weight
+            face = per_axis[d][(slice(None),) * (batch + d) + (0,)]
+            total = total - 0.5 * face.sum(axis=tuple(range(batch, face.ndim)))
+    return total * g.weight if batch else float(total * g.weight)
 
 
 def _grad_sq(g: Grid, u: np.ndarray) -> float:

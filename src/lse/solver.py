@@ -16,8 +16,10 @@ point:
 The residual is the weighted norm of z solving the fixed (-Lap + V + 1) z
 = el_gradient(u) of ``Preconditioner``.  That operator is A at lam = 0,
 where A does not depend on the iterate, and the Newton Jacobian below is
-A with its diagonal shifted: ``_linearized_matrix`` fills all three into
-one cached CSC stencil pattern per grid, ``_stencil_pattern``.
+A with its diagonal shifted: ``_linearized_matrix`` returns all three as
+their values on one cached CSC stencil pattern per grid,
+``_stencil_pattern``.  The banded owner scatters those values into its
+band; only the SuperLU owner wraps them in a CSC matrix.
 
 Every linear solve is direct, on every grid.  The per-iterate
 factorization of the step or Newton operator is LAPACK banded LU when the
@@ -206,6 +208,7 @@ class DescentResult:
     energy_steps: list[tuple[float, float]] = field(default_factory=list)
     newton_steps: int = 0  # the part of ``iterations`` taken by the Newton finish
     factorizations: int = 0  # of the step and Newton operators, by the step owner
+    gradient: np.ndarray | None = None  # el_gradient of ``field`` once converged
 
 
 @dataclass
@@ -226,7 +229,9 @@ _ORDERING = "MMD_AT_PLUS_A"
 
 
 class _Factorization:
-    """Owner of one sparse LU factorization; every splu in the solver is here.
+    """Owner of one sparse LU factorization of an operator on an n^dim grid,
+    given as its values on ``_stencil_pattern(dim, n)``; every splu in the
+    solver is here, and so is the only CSC matrix it builds.
 
     It holds the factors of the fixed operator for ``Preconditioner``, or
     those of the step or Newton operator of a solve when their band is too
@@ -244,17 +249,20 @@ class _Factorization:
 
     lags_jacobian = True
 
-    def __init__(self) -> None:
+    def __init__(self, dim: int, n: int) -> None:
+        self._indptr, self._indices, _, _ = _stencil_pattern(dim, n)
         self.release()
 
     def release(self) -> None:
         self._lu = None
         self.holds_jacobian = False
 
-    def factor(self, a: sp.spmatrix) -> None:
+    def factor(self, values: np.ndarray) -> None:
         self.release()
+        size = self._indptr.size - 1
+        a = sp.csc_matrix((values, self._indices, self._indptr), shape=(size, size))
         try:
-            self._lu = spla.splu(a.tocsc(), permc_spec=_ORDERING, relax=1, panel_size=1)
+            self._lu = spla.splu(a, permc_spec=_ORDERING, relax=1, panel_size=1)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ConvergenceFailure(f"operator is singular ({exc})") from None
 
@@ -278,8 +286,9 @@ def _band_slots(dim: int, n: int) -> np.ndarray:
 
 class _BandedFactorization:
     """Owner of one LAPACK banded LU (dgbtrf/dgbtrs) of a step operator on
-    an n^dim grid, a value fill of ``_stencil_pattern(dim, n)``.  In C point
-    order the stencil's band is bw = n^(dim-1) wide on each side.
+    an n^dim grid, given as its values on ``_stencil_pattern(dim, n)``,
+    which ``factor`` scatters straight into the band.  In C point order the
+    stencil's band is bw = n^(dim-1) wide on each side.
 
     A banded factor costs about one solve, so Newton refactors at every
     step: lagging it on every grid measured more iterations and more time
@@ -297,10 +306,10 @@ class _BandedFactorization:
         self._lu = self._piv = None
         self.holds_jacobian = False
 
-    def factor(self, a: sp.spmatrix) -> None:
+    def factor(self, values: np.ndarray) -> None:
         self.release()
         band = np.zeros(self._shape, order="F")
-        band.reshape(-1, order="F")[self._slots] = a.data
+        band.reshape(-1, order="F")[self._slots] = values
         lu, piv, info = _gbtrf(band, self._bw, self._bw, overwrite_ab=1)
         if info > 0:
             raise ConvergenceFailure(f"step operator is singular (zero pivot in column {info})")
@@ -327,7 +336,7 @@ def _step_factorization(g: Grid) -> _Factorization | _BandedFactorization:
     bw = n ** (g.dim - 1)
     if g.npoints * bw * bw <= _BANDED_LIMIT:
         return _BandedFactorization(g.dim, n)
-    return _Factorization()
+    return _Factorization(g.dim, n)
 
 
 class Preconditioner:
@@ -345,7 +354,7 @@ class Preconditioner:
 
     def __init__(self, g: Grid, potential) -> None:
         vvals = potential.evaluate(g).values
-        self._lu = _Factorization()
+        self._lu = _Factorization(g.dim, g.points_per_dim)
         self._lu.factor(_linearized_matrix(g, vvals, np.zeros(g.npoints), PerturbationParams(lam=0.0)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -376,10 +385,10 @@ def _stencil_pattern(dim: int, n: int) -> tuple:
 
 def _linearized_matrix(
     g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams, diag_shift: np.ndarray | None = None
-) -> sp.csc_matrix:
-    """Sparse SPD linearization: the Armijo step operator at every lam, and
-    at lam = 0 (where it does not depend on u) the fixed operator of
-    ``Preconditioner``.
+) -> np.ndarray:
+    """Sparse SPD linearization, as its values on ``_stencil_pattern``: the
+    Armijo step operator at every lam, and at lam = 0 (where it does not
+    depend on u) the fixed operator of ``Preconditioner``.
 
     This is (-Lap + V + 1) plus the exact second derivative of the
     p-gradient term (a divergence form with per-edge coefficients) and the
@@ -392,7 +401,7 @@ def _linearized_matrix(
     """
     lam, p, eps = params.lam, params.p, _GRAD_REG_EPS
     n, h = g.points_per_dim, g.spacing
-    indptr, indices, diag_pos, edges = _stencil_pattern(g.dim, n)
+    _, indices, diag_pos, edges = _stencil_pattern(g.dim, n)
     data = np.empty(indices.size)
     diag = np.zeros(g.shape)
     for d, (c, (lower, upper)) in enumerate(zip(_gradient_components(g, u.reshape(g.shape)), edges)):
@@ -406,11 +415,12 @@ def _linearized_matrix(
         data[lower] = data[upper] = -(coeff[lead + (slice(1, n),)] / h**2).reshape(-1)
     diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * (u * u + eps**2) ** ((p - 2.0) / 2.0)
     data[diag_pos] = diag if diag_shift is None else diag - diag_shift
-    return sp.csc_matrix((data, indices, indptr), shape=(g.npoints, g.npoints))
+    return data
 
 
-def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> sp.csc_matrix:
-    """True Jacobian of el_gradient at u (sparse, symmetric, indefinite).
+def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
+    """True Jacobian of el_gradient at u (sparse, symmetric, indefinite), as
+    its values on ``_stencil_pattern``.
 
     Equals the SPD step operator minus the zeroth-order surrogate (the +1)
     and minus the log-term curvature log u^2 + 2, taken off its diagonal
@@ -531,17 +541,18 @@ def _subspace_local_max(
     vol = g.weight
     c = q.T @ u
     scale = float(np.sqrt(c @ c))
+    delta = 1e-6 * (1.0 + scale)
     for _ in range(_SUBSPACE_MAX_INNER):
         v = q @ c
-        gv = _gradient_raw(g, vvals, v, params)
+        # the gradient at v and at its r difference points, in one call
+        grads = _gradient_raw(g, vvals, np.vstack((v, v + delta * q.T)), params)
+        gv = grads[0]
         gc = vol * (q.T @ gv)
         if float(np.sqrt(gc @ gc)) <= tol:
             break
         hess = np.empty((r, r))
-        delta = 1e-6 * (1.0 + scale)
         for i in range(r):
-            gp = _gradient_raw(g, vvals, v + delta * q[:, i], params)
-            hess[:, i] = vol * (q.T @ (gp - gv)) / delta
+            hess[:, i] = vol * (q.T @ (grads[i + 1] - gv)) / delta
         try:
             w, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
         except np.linalg.LinAlgError:
@@ -667,6 +678,8 @@ def _newton_polish(
             break
     result.residual = resid
     result.converged = resid <= cfg.descent_tol and not result.collapsed
+    if result.converged:
+        result.gradient = grad
     return u
 
 
@@ -722,6 +735,7 @@ def descend(
         result.residual = resid
         if resid <= cfg.descent_tol:
             result.converged = True
+            result.gradient = grad
             break
         if result.iterations >= cfg.max_outer:
             break
@@ -816,9 +830,11 @@ def mountain_pass(
     return MountainPassResult(field=res.field, c_lambda=c_lam, path_max=path_max, descent=res)
 
 
-def _stage_record(g, vvals, u: np.ndarray, params, res: DescentResult, parts) -> LambdaRecord:
-    """The LambdaRecord of a converged stage, given the energy parts of u."""
-    raw = _gradient_raw(g, vvals, u, params)
+def _stage_record(g, u: np.ndarray, params, res: DescentResult, parts) -> LambdaRecord:
+    """The LambdaRecord of a stage whose descent ``res`` converged to u,
+    given the energy parts of u; its raw residual is that of the gradient
+    the descent kept."""
+    raw = res.gradient
     vol = g.weight
     if params.lam > 0.0:
         w1p_p = params.lam * norm_w1p(g, Field(grid=g, values=u), params.p) ** params.p
@@ -869,7 +885,7 @@ def continue_to_limit(
     def record(field: Field, par: PerturbationParams, res: DescentResult):
         """Append the stage to the report; returns its energy parts."""
         parts = _parts_raw(g, vvals, field.values, par)
-        report.records.append(_stage_record(g, vvals, field.values, par, res, parts))
+        report.records.append(_stage_record(g, field.values, par, res, parts))
         report.trajectory.append(field)
         report.newton_steps += res.newton_steps
         report.factorizations += res.factorizations

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lse.grid import Field, make_grid
+from lse.grid import Field, make_grid, quotient_grid
 
 # Numerical kernels have wildly varying per-example cost; wall-clock deadlines
 # only produce flaky failures on loaded CI boxes.
@@ -38,3 +38,26 @@ def gausson_field(g):
     """Exact closed-form solution for the doubled-square-well potential."""
     r2 = g.radius_squared().ravel()
     return Field(grid=g, values=np.exp(float(g.dim)) * np.exp(-r2))
+
+
+# Full grids of even and odd n, and quotient grids with mixed mirror faces
+BATCH_GRIDS = [
+    (dim, n, mirror)
+    for dim, n in [(1, 24), (2, 10), (3, 8)]
+    for n, mirror in [(n, ()), (n + 1, ()), (n, (-1, 1, -1)[:dim]), (n, (1, -1, 1)[:dim])]
+]
+
+
+def batch_grid(dim, n, mirror):
+    g = make_grid(dim, 3.0, n)
+    return quotient_grid(g, mirror) if mirror else g
+
+
+def batch_fields(g, rows=5):
+    """Rows of random fields with exact and signed zeros, and a zero row."""
+    rng = np.random.default_rng(g.npoints)
+    u = rng.uniform(-2.0, 2.0, (rows, g.npoints))
+    u[:, ::7] = 0.0
+    u[1, ::5] = -0.0
+    u[-1] = 0.0
+    return u

@@ -27,7 +27,7 @@ from lse.energy import (
 )
 from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v, norm_w1p, quotient_grid, unfold
 
-from conftest import gausson_field, random_field
+from conftest import BATCH_GRIDS, batch_fields, batch_grid, gausson_field, random_field
 
 SQRT_E = float(np.sqrt(np.e))
 
@@ -320,3 +320,26 @@ class TestQuotientKernels:
             gq = _gradient_raw(q, vq, u, params)
             gf = _gradient_raw(g, vf, full.values, params).reshape(g.shape)[upper].reshape(-1)
             assert float(np.max(np.abs(gq - gf))) <= 1e-13 * float(np.max(np.abs(gf)))
+
+
+class TestBatchKernels:
+    """``_gradient_raw`` and ``_parts_raw`` on the rows of a (B, N) batch
+    give, row by row, the bytes of the per-field call."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("dim, n, mirror", BATCH_GRIDS)
+    def test_rows_are_bit_equal_to_single_calls(self, dim, n, mirror, lam):
+        g = batch_grid(dim, n, mirror)
+        vvals = Shifted(Harmonic(2.0), 0.5).evaluate(g).values
+        u = batch_fields(g)
+        params = PerturbationParams(lam=lam, p=1.3)
+        grads = _gradient_raw(g, vvals, u, params)
+        parts = _parts_raw(g, vvals, u, params)
+        assert grads.shape == u.shape
+        for i, row in enumerate(u):
+            assert grads[i].tobytes() == _gradient_raw(g, vvals, row, params).tobytes()
+            one = _parts_raw(g, vvals, row, params)
+            for name in ("p_grad", "p_mass", "grad_sq", "v_mass", "mass", "log_int", "total"):
+                # at lam = 0 the p-terms are the scalar 0.0 for every row
+                got = np.broadcast_to(getattr(parts, name), u.shape[:1])[i]
+                assert got.tobytes() == np.float64(getattr(one, name)).tobytes(), name

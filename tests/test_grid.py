@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from lse.grid import (
     Field,
+    _edge_integral,
     _gradient_components,
+    _neg_div,
     forward_gradient,
     integrate,
     make_grid,
@@ -21,7 +23,7 @@ from lse.grid import (
 )
 from lse.energy import Tabulated
 
-from conftest import random_field
+from conftest import BATCH_GRIDS, batch_fields, batch_grid, random_field
 
 
 def _ones_potential(g):
@@ -207,6 +209,30 @@ class TestGradientComponents:
             want = np.diff(np.pad(nd, pad), axis=d) / g.spacing
             assert comp.shape == want.shape
             assert comp.tobytes() == want.tobytes()
+
+
+class TestBatchKernels:
+    """A kernel given fields as the rows of a batch returns, in each row,
+    the bytes of its call on that field alone."""
+
+    @pytest.mark.parametrize("dim, n, mirror", BATCH_GRIDS)
+    def test_rows_are_bit_equal_to_single_calls(self, dim, n, mirror):
+        g = batch_grid(dim, n, mirror)
+        u = batch_fields(g)
+        comps = _gradient_components(g, u.reshape(u.shape[:1] + g.shape))
+        div = _neg_div(g, comps)
+        sq = _edge_integral(g, [c * c for c in comps])
+        pw = _edge_integral(g, [np.abs(c) ** 1.3 for c in comps])
+        assert div.shape == u.shape[:1] + g.shape
+        assert sq.shape == pw.shape == (u.shape[0],)
+        for i, row in enumerate(u):
+            single = _gradient_components(g, row.reshape(g.shape))
+            for c, one in zip(comps, single, strict=True):
+                assert c[i].tobytes() == one.tobytes()
+            assert div[i].tobytes() == _neg_div(g, single).tobytes()
+            one_sq = _edge_integral(g, [c * c for c in single])
+            assert type(one_sq) is float and sq[i].tobytes() == np.float64(one_sq).tobytes()
+            assert pw[i] == _edge_integral(g, [np.abs(c) ** 1.3 for c in single])
 
 
 class TestIntegrate:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_script_exits_zero(argv):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_artifact_digest_prints_one_line_per_config():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), "--workload", "ladder_1d", "--seed", "5"]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # ladder_1d has one config, which solves: no FAIL line
+    assert re.fullmatch(r"0 rc=0 sha256=[0-9a-f]{64}\n", proc.stdout)

@@ -143,6 +143,13 @@ def _coo_linearized_matrix(g, vvals, u, params):
     return a_mat + sp.diags(diag)
 
 
+def _matrix(g, values):
+    """The CSC matrix of an operator given as its values on the stencil
+    pattern of g, as the SuperLU owner builds it."""
+    indptr, indices, _, _ = solver_mod._stencil_pattern(g.dim, g.points_per_dim)
+    return sp.csc_matrix((values, indices, indptr), shape=(g.npoints, g.npoints))
+
+
 def _assert_bit_equal(got, want):
     got, want = got.tocsc(), want.tocsc()
     assert np.array_equal(got.indptr, want.indptr)
@@ -192,7 +199,7 @@ class TestStepOperators:
         v = np.random.default_rng(1).standard_normal(g.npoints)
         t = 1e-5
         fd = (_gradient_raw(g, vvals, u + t * v, params) - _gradient_raw(g, vvals, u - t * v, params)) / (2.0 * t)
-        jv = solver_mod._newton_matrix(g, vvals, u, params) @ v
+        jv = _matrix(g, solver_mod._newton_matrix(g, vvals, u, params)) @ v
         assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
 
     @pytest.mark.parametrize("dim, n, mirror", QUOTIENT_GRIDS)
@@ -202,24 +209,26 @@ class TestStepOperators:
         g, vvals, u = self.smooth_state(dim, n, mirror)
         rhs = np.random.default_rng(3).standard_normal(g.npoints)
         z = Preconditioner(g, V_HARMONIC).solve(rhs)
-        back = solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0)) @ z
+        back = _matrix(g, solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0))) @ z
         assert float(np.max(np.abs(back - rhs))) <= 1e-10 * float(np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
     def test_linearized_matrix_at_lambda_zero_is_the_fixed_operator(self, dim, n):
         g, vvals, u = self.smooth_state(dim, n)
         v = np.random.default_rng(2).standard_normal(g.npoints)
-        got = solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0)) @ v
+        got = _matrix(g, solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0))) @ v
         want = neg_laplacian_apply(g, Field(grid=g, values=v)).values + (vvals + 1.0) * v
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * float(np.abs(want).max()))
 
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
     def test_pattern_is_the_canonical_symmetric_stencil(self, dim, n):
         g, vvals, u = self.smooth_state(dim, n)
-        for a in (
+        for values in (
             solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.1)),
             solver_mod._newton_matrix(g, vvals, u, PerturbationParams(lam=0.1)),
         ):
+            assert type(values) is np.ndarray
+            a = _matrix(g, values)
             assert a.format == "csc"
             assert a.has_canonical_format
             assert a.nnz == n**dim + 2 * dim * (n - 1) * n ** (dim - 1)
@@ -242,9 +251,9 @@ class TestStepOperators:
         u[::5] = 0.0  # log-term curvature at its 1e-300 floor
         params = PerturbationParams(lam=lam, p=1.5)
         want = _coo_linearized_matrix(g, vvals, u, params)
-        _assert_bit_equal(solver_mod._linearized_matrix(g, vvals, u, params), want)
+        _assert_bit_equal(_matrix(g, solver_mod._linearized_matrix(g, vvals, u, params)), want)
         _assert_bit_equal(
-            solver_mod._newton_matrix(g, vvals, u, params),
+            _matrix(g, solver_mod._newton_matrix(g, vvals, u, params)),
             want - sp.diags(3.0 + np.log(u * u + 1e-300)),
         )
 
@@ -254,14 +263,14 @@ class TestStepOperators:
         factored = []
         factor = solver_mod._Factorization.factor
 
-        def recorded(self, a):
-            factored.append(a)
-            factor(self, a)
+        def recorded(self, values):
+            factored.append(values)
+            factor(self, values)
 
         monkeypatch.setattr(solver_mod._Factorization, "factor", recorded)
         Preconditioner(g, potential)
         assert len(factored) == 1
-        return factored[0]
+        return _matrix(g, factored[0])
 
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
     def test_fixed_operator_is_bit_equal_to_the_coo_reference(self, dim, n, monkeypatch):
@@ -275,7 +284,7 @@ class TestStepOperators:
         # at lam = 0 the step operator does not depend on the iterate, so the
         # fixed operator is bit-equal to it at any state
         g, vvals, u = self.smooth_state(dim, n, mirror)
-        want = solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0))
+        want = _matrix(g, solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0)))
         _assert_bit_equal(self.fixed_operator(g, V_HARMONIC, monkeypatch), want)
 
 
@@ -295,12 +304,13 @@ class TestBandedFactorization:
         rng = np.random.default_rng(dim)
         u = 3.0 * rng.standard_normal(g.npoints)
         u[::5] = 0.0  # log-term curvature at its 1e-300 floor
-        a = getattr(solver_mod, matrix)(g, vvals, u, PerturbationParams(lam=0.1, p=1.5))
+        values = getattr(solver_mod, matrix)(g, vvals, u, PerturbationParams(lam=0.1, p=1.5))
+        a = _matrix(g, values)
         rhs = rng.standard_normal(g.npoints)
         banded = solver_mod._BandedFactorization(g.dim, g.points_per_dim)
-        superlu = solver_mod._Factorization()
-        banded.factor(a)
-        superlu.factor(a)
+        superlu = solver_mod._Factorization(g.dim, g.points_per_dim)
+        banded.factor(values)
+        superlu.factor(values)
         x, want = banded.solve(rhs), superlu.solve(rhs)
         assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
@@ -317,20 +327,21 @@ class TestBandedFactorization:
         assert type(owner) is want
 
     @pytest.mark.parametrize(
-        "owner", [lambda: solver_mod._BandedFactorization(2, 6), lambda: solver_mod._Factorization()],
+        "owner", [lambda: solver_mod._BandedFactorization(2, 6), lambda: solver_mod._Factorization(2, 6)],
         ids=["banded", "superlu"],
     )
     def test_zero_pivot_raises_convergence_failure(self, owner):
         g = make_grid(2, 3.0, 6)
-        a = solver_mod._linearized_matrix(
+        values = solver_mod._linearized_matrix(
             g, V_HARMONIC.evaluate(g).values, np.ones(g.npoints), PerturbationParams(lam=0.1)
         )
         lu = owner()
-        lu.factor(a)  # a good factor, kept as a Newton Jacobian's where lagged
+        lu.factor(values)  # a good factor, kept as a Newton Jacobian's where lagged
         lu.holds_jacobian = lu.lags_jacobian
-        a.data[a.indptr[7] : a.indptr[8]] = 0.0  # column 7 vanishes: exactly singular
+        indptr = solver_mod._stencil_pattern(2, 6)[0]
+        values[indptr[7] : indptr[8]] = 0.0  # column 7 vanishes: exactly singular
         with pytest.raises(ConvergenceFailure, match="singular"):
-            lu.factor(a)
+            lu.factor(values)
         # no later chord step may solve with the old factor or with none
         assert not lu.holds_jacobian
         assert lu._lu is None
@@ -466,9 +477,9 @@ class TestNewtonFinish:
         """``owner.factor`` that also records the owner class of each call."""
         factor = owner.factor
 
-        def recorded(self, a):
+        def recorded(self, values):
             owners.append(owner)
-            factor(self, a)
+            factor(self, values)
 
         return recorded
 
@@ -777,6 +788,15 @@ class TestContinueToLimit:
         assert all(np.isfinite(rec.energy) for rec in report.records)
         assert all(rec.resid_precond >= 0.0 and rec.resid_raw >= 0.0 for rec in report.records)
         assert len(report.trajectory) == len(report.records)
+
+    def test_raw_residual_is_that_of_each_stage_field(self, ground_run, grid_mid):
+        # the records reuse the gradient each descent kept for its final
+        # iterate; it must be bit-equal to the stage field's own gradient
+        _, report = ground_run
+        vvals = V_HARMONIC.evaluate(grid_mid).values
+        for rec, field in zip(report.records, report.trajectory, strict=True):
+            raw = _gradient_raw(grid_mid, vvals, field.values, PerturbationParams(lam=rec.lam, p=1.5))
+            assert rec.resid_raw == float(np.sqrt(grid_mid.weight * float(raw @ raw)))
 
     def test_final_field_close_to_gausson(self, ground_run, grid_mid):
         u, _ = ground_run

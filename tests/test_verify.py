@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lse.energy import Harmonic, PerturbationParams, energy_total, el_gradient
-from lse.grid import Field, make_grid
+from lse.energy import Harmonic, PerturbationParams, energy_parts, energy_total, el_gradient
+from lse.grid import Field, make_grid, quotient_grid
 from lse.solver import Preconditioner
 from lse.verify import (
     REGISTRY,
@@ -228,3 +230,66 @@ class TestGradientFd:
         assert "lam=0.37" in res.digest
         assert "p=1.2" in res.digest
         assert "seed=5" in res.digest
+
+
+def _reference_gradient_fd_margin(g, potential, params, trials, rng_seed):
+    """The per-trial loop that the chunked check replaced, one field per
+    kernel call, kept as the reference for bit equality."""
+    rng = np.random.default_rng(rng_seed)
+    vol = g.weight
+    worst = 0.0
+    eps = 1e-5
+    for _ in range(trials):
+        u_vals = rng.uniform(-2.0, 2.0, size=g.npoints)
+        phi = rng.uniform(-2.0, 2.0, size=g.npoints)
+        u = Field(grid=g, values=u_vals)
+        grad = el_gradient(g, potential, u, params)
+        pair = vol * float(np.dot(grad.values, phi))
+        e_plus = energy_parts(g, potential, Field(grid=g, values=u_vals + eps * phi), params).total
+        e_minus = energy_parts(g, potential, Field(grid=g, values=u_vals - eps * phi), params).total
+        quotient = (e_plus - e_minus) / (2.0 * eps)
+        worst = max(worst, abs(pair - quotient) / (1.0 + abs(quotient)))
+    return worst
+
+
+class TestGradientFdChunks:
+    """The gradient check's trials share kernel calls in chunks of at most
+    ``_BATCH_VALUES`` shifted values; the margin does not change."""
+
+    @pytest.mark.parametrize(
+        "dim, n, mirror, trials",
+        [
+            (1, 17, (), 10),  # 240 trials per call: one chunk
+            (1, 1022, (), 10),  # 4 per call: chunks of 4, 4 and 2
+            (2, 60, (-1, 1), 7),  # a 30^2 quotient grid, 4 per call: chunks of 4 and 3
+            (3, 16, (), 3),  # 2N equals the cap: one trial per call
+            (1, 5000, (), 3),  # 2N above the cap: one field per call
+            (2, 190, (), 2),  # the gausson_2d grid, above the cap
+        ],
+    )
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_margin_is_bit_equal_to_the_per_trial_loop(self, dim, n, mirror, trials, lam):
+        g = make_grid(dim, 4.0, n)
+        if mirror:
+            g = quotient_grid(g, mirror)
+        params = PerturbationParams(lam=lam, p=1.5)
+        res = check_gradient_fd(g, V, params, trials=trials, rng_seed=11)
+        want = _reference_gradient_fd_margin(g, V, params, trials, 11)
+        assert type(res.margin) is float
+        assert repr(res.margin) == repr(want)
+
+    @pytest.mark.parametrize(
+        "dim, n, bound_mb", [(1, 1022, 1.0), (3, 16, 1.0), (2, 190, 3.3)]
+    )
+    def test_peak_memory_is_bounded(self, dim, n, bound_mb):
+        # the per-trial loop peaked at about 0.08, 0.38 and 2.9 MB here
+        g = make_grid(dim, 4.0, n)
+        V.evaluate(g)  # the potential's cached values are not the check's
+        params = PerturbationParams(lam=0.0, p=1.5)
+        tracemalloc.start()
+        try:
+            check_gradient_fd(g, V, params, trials=10, rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
