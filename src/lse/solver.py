@@ -3,8 +3,8 @@
 The perturbed energy has a strict local minimum at 0, is unbounded below
 along rays, and its nontrivial critical points are saddles whose single
 downhill direction is (numerically) the ray through the point itself.
-``descend`` therefore interleaves two moves while far from a critical
-point:
+``descend`` runs one loop of steps.  While far from a critical point it
+interleaves two moves:
 
 * an exact one-dimensional re-maximization of I_lam(t * u) over t > 0
   (the ray profile is strictly unimodal, so the peak is a scalar root
@@ -33,12 +33,14 @@ faces, and the operators add the mirror edge to their face diagonals.  A
 quotient grid is factored in every dimension, and its iterates stay in
 their sector exactly, since the sector is the space they live in.
 
-Once that residual is at most ``_NEWTON_RESID``, ``descend`` finishes with
-``_newton_polish``: damped Newton on the true Jacobian ``_newton_matrix``,
-accepting only steps that lower the residual.  Near a critical point it
-converges in a few steps whatever the Morse index, so it needs neither the
-ray rescale nor the deflation span; warm-started lam stages typically start
-there.
+Once that residual is at most ``_NEWTON_RESID``, every further step of
+the same loop is a ``_newton_polish`` step: damped Newton on the true
+Jacobian ``_newton_matrix``, accepted only if it lowers the residual.  Near
+a critical point it converges in a few steps whatever the Morse index, so
+it needs neither the ray rescale nor the deflation span; warm-started lam
+stages typically start there.  One budget, cfg.max_outer, counts both
+kinds of step, and a mass integral below the constant ``_MASS_FLOOR``
+stops any descent as collapsed.
 On SuperLU grids a Newton Jacobian factor is kept for chord steps while
 they contract the residual by ``_CHORD_THETA``, across iterates and lam
 stages alike: ``continue_to_limit`` makes one step owner per solve and
@@ -50,7 +52,8 @@ Energy is nonincreasing across the accepted Armijo steps (recorded in
 the residual instead.
 
 ``mountain_pass`` starts the descent at the exact peak of the ray through
-a seed profile, the maximum of I_lam over the path t -> t * e from 0.
+a seed profile, the maximum of I_lam over the path t -> t * e from 0, and
+returns the descent's field with that path maximum.
 ``continue_to_limit`` drives lam down a geometric schedule with warm
 starts and finishes with a lam = 0 solve.
 """
@@ -214,7 +217,6 @@ class DescentResult:
 @dataclass
 class MountainPassResult:
     field: Field
-    c_lambda: float
     path_max: float
     descent: DescentResult
 
@@ -621,66 +623,42 @@ def _newton_polish(
     grad: np.ndarray,
     resid: float,
     params: PerturbationParams,
-    cfg: MountainPassConfig,
     precond: Preconditioner,
     lu: _Factorization | _BandedFactorization,
     result: DescentResult,
-    *,
-    mass_floor: float = 0.0,
-) -> np.ndarray:
-    """Damped Newton iteration on el_gradient = 0, monotone in the
-    preconditioned residual; returns the final iterate.
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """One damped Newton step on el_gradient = 0 from the iterate u, with
+    gradient ``grad`` and preconditioned residual ``resid``; returns the
+    accepted (u, grad, resid), or None when no damping lowers the residual.
 
-    Starts from the iterate u with gradient ``grad`` and preconditioned
-    residual ``resid``.  When ``lu`` holds a Newton Jacobian factor, of an
-    earlier iterate or lam stage, a step first tries the undamped chord
-    step u - J_old^-1 grad and keeps it if the residual falls below
-    ``_CHORD_THETA`` times the current one.  Otherwise it factors the true
-    Jacobian ``_newton_matrix`` at u into ``lu`` (kept for later chord
-    steps if ``lu.lags_jacobian``) and halves the Newton step (at most
-    seven times) until the residual falls by 1%.  Steps count in
-    ``result.iterations`` (and ``result.newton_steps``) against
-    cfg.max_outer; a mass below ``mass_floor`` sets ``result.collapsed``,
-    and a step that finds no such damping sets ``result.stagnated``.
-    ``result.residual`` and ``result.converged`` describe the final iterate.
+    When ``lu`` holds a Newton Jacobian factor, of an earlier iterate or lam
+    stage, the step first tries the undamped chord step u - J_old^-1 grad
+    and keeps it if the residual falls below ``_CHORD_THETA`` times
+    ``resid``.  Otherwise it factors the true Jacobian ``_newton_matrix`` at
+    u into ``lu`` (kept for later chord steps if ``lu.lags_jacobian``,
+    counted in ``result.factorizations``) and halves the Newton step (at
+    most seven times) until the residual falls by 1%.
     """
-    vol = g.weight
 
     def trial(cand):
         gnew = _gradient_raw(g, vvals, cand, params)
-        return gnew, _h1v_raw(g, vvals, precond.solve(gnew))
+        return cand, gnew, _h1v_raw(g, vvals, precond.solve(gnew))
 
-    while resid > cfg.descent_tol and result.iterations < cfg.max_outer:
-        rnew = np.inf
-        if lu.holds_jacobian:
-            cand = u - lu.solve(grad)
-            gnew, rnew = trial(cand)
-        if not (np.isfinite(rnew) and rnew < _CHORD_THETA * resid):
-            lu.factor(_newton_matrix(g, vvals, u, params))
-            lu.holds_jacobian = lu.lags_jacobian
-            result.factorizations += 1
-            delta = lu.solve(grad)
-            damp = 1.0
-            for _ in range(8):
-                cand = u - damp * delta
-                gnew, rnew = trial(cand)
-                if np.isfinite(rnew) and rnew < 0.99 * resid:
-                    break
-                damp *= 0.5
-            else:
-                result.stagnated = True
-                break
-        u, grad, resid = cand, gnew, rnew
-        result.iterations += 1
-        result.newton_steps += 1
-        if mass_floor > 0.0 and vol * float((u * u).sum()) < mass_floor:
-            result.collapsed = True
-            break
-    result.residual = resid
-    result.converged = resid <= cfg.descent_tol and not result.collapsed
-    if result.converged:
-        result.gradient = grad
-    return u
+    if lu.holds_jacobian:
+        step = trial(u - lu.solve(grad))
+        if np.isfinite(step[2]) and step[2] < _CHORD_THETA * resid:
+            return step
+    lu.factor(_newton_matrix(g, vvals, u, params))
+    lu.holds_jacobian = lu.lags_jacobian
+    result.factorizations += 1
+    delta = lu.solve(grad)
+    damp = 1.0
+    for _ in range(8):
+        step = trial(u - damp * delta)
+        if np.isfinite(step[2]) and step[2] < 0.99 * resid:
+            return step
+        damp *= 0.5
+    return None
 
 
 # Preconditioned residual at or below which ``descend`` finishes with
@@ -688,6 +666,8 @@ def _newton_polish(
 # configs; from 3 up the factorization counts of the 2d and sweep
 # workloads level off.
 _NEWTON_RESID = 3.0
+# Mass integral below which ``descend`` reports a collapse to zero.
+_MASS_FLOOR = 1e-8
 
 
 def descend(
@@ -698,25 +678,28 @@ def descend(
     cfg: MountainPassConfig,
     *,
     deflation: Sequence[Field] = (),
-    mass_floor: float = 0.0,
     precond: Preconditioner | None = None,
     step_lu: _Factorization | _BandedFactorization | None = None,
 ) -> DescentResult:
     """Preconditioned Armijo descent, ray-stabilized, finished by damped
-    Newton.
+    Newton, in one loop of steps.
 
     Terminates when the preconditioned residual (weighted Sobolev norm of
-    the direction z) drops to cfg.descent_tol, or at cfg.max_outer.  Before
-    every step ``_subspace_local_max`` stabilizes a nonzero iterate: it
-    moves it to the peak of its own ray, or, when ``deflation`` holds
-    previously found solutions (fields on g), to the nearby in-span
-    stationary point, away from them.  Each Armijo step factors
-    ``_linearized_matrix`` at the iterate.  Once the residual is at most
-    ``_NEWTON_RESID`` the rest of the budget goes to ``_newton_polish``.
-    ``mass_floor`` aborts with the collapsed flag when the iterate's mass
-    integral falls below it.  ``step_lu`` is the owner of the step and
-    Newton factorizations (a new ``_step_factorization(g)`` if None); a
-    Newton factor it holds on entry may serve as a chord step.
+    the direction z) drops to cfg.descent_tol, at cfg.max_outer steps
+    (Newton steps included), when a step finds no acceptable length
+    (``stagnated``), or when the iterate's mass integral falls below
+    ``_MASS_FLOOR`` (``collapsed``).  Before every Armijo step
+    ``_subspace_local_max`` stabilizes a nonzero iterate: it moves it to
+    the peak of its own ray, or, when ``deflation`` holds previously found
+    solutions (fields on g), to the nearby in-span stationary point, away
+    from them.  Each Armijo step factors ``_linearized_matrix`` at the
+    iterate.  Once the residual is at most ``_NEWTON_RESID`` every further
+    step is a ``_newton_polish`` step, without the stabilizer, which also
+    hands back the next gradient and residual.  ``step_lu`` is the owner of
+    the step and Newton factorizations (a new ``_step_factorization(g)`` if
+    None); a Newton factor it holds on entry may serve as a chord step.
+    ``result.residual`` is that of the final iterate, except after an
+    Armijo step that collapses, where it is that of the iterate before it.
     """
     vvals = potential.evaluate(g).values
     if precond is None:
@@ -726,53 +709,58 @@ def descend(
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
     span = [s.values for s in deflation]
     lu = step_lu if step_lu is not None else _step_factorization(g)
+    newton = False
     for _ in range(cfg.max_outer + 1):
-        if float((u * u).sum()) > 0.0:
-            u = _subspace_local_max(g, vvals, u, params, span, 0.1 * cfg.descent_tol)
-        grad = _gradient_raw(g, vvals, u, params)
-        z = precond.solve(grad)
-        resid = _h1v_raw(g, vvals, z)
-        result.residual = resid
+        if not newton:
+            if float((u * u).sum()) > 0.0:
+                u = _subspace_local_max(g, vvals, u, params, span, 0.1 * cfg.descent_tol)
+            grad = _gradient_raw(g, vvals, u, params)
+            resid = _h1v_raw(g, vvals, precond.solve(grad))
+            # near a critical point Newton on the full residual converges in
+            # a few steps and needs no ray or deflation stabilization
+            newton = resid <= _NEWTON_RESID
         if resid <= cfg.descent_tol:
             result.converged = True
             result.gradient = grad
             break
         if result.iterations >= cfg.max_outer:
             break
-        if resid <= _NEWTON_RESID:
-            # near a critical point Newton on the full residual converges in
-            # a few steps and needs no ray or deflation stabilization
-            u = _newton_polish(g, vvals, u, grad, resid, params, cfg, precond, lu, result, mass_floor=mass_floor)
-            break
-        e0 = _parts_raw(g, vvals, u, params).total
-        lu.factor(_linearized_matrix(g, vvals, u, params))
-        result.factorizations += 1
-        step = lu.solve(grad)
-        pair = vol * float(grad @ step)
-        alpha = 1.0
-        for _ in range(_MAX_BACKTRACKS + 1):
-            cand = u - alpha * step
-            e1 = _parts_raw(g, vvals, cand, params).total
-            if np.isfinite(e1) and e1 <= e0 - _ARMIJO_C1 * alpha * pair:
+        if newton:
+            step = _newton_polish(g, vvals, u, grad, resid, params, precond, lu, result)
+            if step is None:
+                result.stagnated = True
                 break
-            alpha *= _BACKTRACK_RATIO
+            u, grad, resid = step
+            result.newton_steps += 1
         else:
-            result.stagnated = True
-            break
-        u = cand
-        result.energy_steps.append((e0, e1))
+            e0 = _parts_raw(g, vvals, u, params).total
+            lu.factor(_linearized_matrix(g, vvals, u, params))
+            result.factorizations += 1
+            step = lu.solve(grad)
+            pair = vol * float(grad @ step)
+            alpha = 1.0
+            for _ in range(_MAX_BACKTRACKS + 1):
+                cand = u - alpha * step
+                e1 = _parts_raw(g, vvals, cand, params).total
+                if np.isfinite(e1) and e1 <= e0 - _ARMIJO_C1 * alpha * pair:
+                    break
+                alpha *= _BACKTRACK_RATIO
+            else:
+                result.stagnated = True
+                break
+            u = cand
+            result.energy_steps.append((e0, e1))
         result.iterations += 1
-        if mass_floor > 0.0 and vol * float((u * u).sum()) < mass_floor:
+        if vol * float((u * u).sum()) < _MASS_FLOOR:
             result.collapsed = True
             break
+    result.residual = resid
     result.field = Field(grid=g, values=u)
     return result
 
 
 # ---------------------------------------------------------------------------
 # mountain pass and continuation
-
-_MASS_FLOOR = 1e-8
 
 
 def _raise_unless_converged(res: DescentResult, lam: float, what: str) -> None:
@@ -822,12 +810,10 @@ def mountain_pass(
     u0 = _ray_peak_factor(_parts_raw(g, vvals, e, params), params) * e
     path_max = _parts_raw(g, vvals, u0, params).total
     res = descend(
-        g, potential, Field(grid=g, values=u0), params, cfg,
-        deflation=deflation, mass_floor=_MASS_FLOOR, precond=precond, step_lu=step_lu,
+        g, potential, Field(grid=g, values=u0), params, cfg, deflation=deflation, precond=precond, step_lu=step_lu
     )
     _raise_unless_converged(res, params.lam, "mountain pass")
-    c_lam = _parts_raw(g, vvals, res.field.values, params).total
-    return MountainPassResult(field=res.field, c_lambda=c_lam, path_max=path_max, descent=res)
+    return MountainPassResult(field=res.field, path_max=path_max, descent=res)
 
 
 def _stage_record(g, u: np.ndarray, params, res: DescentResult, parts) -> LambdaRecord:
@@ -903,7 +889,7 @@ def continue_to_limit(
             par = replace(params, lam=lam)
             res = descend(
                 g, potential, report.trajectory[-1], par, cfg,
-                deflation=[t[i] for t in trajectories], mass_floor=_MASS_FLOOR, precond=precond, step_lu=lu,
+                deflation=[t[i] for t in trajectories], precond=precond, step_lu=lu,
             )
             _raise_unless_converged(res, lam, f"continuation stage lam={lam:g}")
             parts = record(res.field, par, res)  # the last stage is at lam = 0

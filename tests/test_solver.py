@@ -447,16 +447,10 @@ class TestDescend:
             assert res.energy_steps
             assert all(e1 <= e0 for e0, e1 in res.energy_steps)
 
-    def test_mass_floor_reports_collapse(self, grid1d):
+    def test_mass_floor_reports_collapse(self, grid1d, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_MASS_FLOOR", 1e6)
         u0 = random_field(grid1d, np.random.default_rng(3), scale=1e-3)
-        res = descend(
-            grid1d,
-            V_HARMONIC,
-            u0,
-            PerturbationParams(lam=1.0),
-            MountainPassConfig(max_outer=50),
-            mass_floor=1e6,
-        )
+        res = descend(grid1d, V_HARMONIC, u0, PerturbationParams(lam=1.0), MountainPassConfig(max_outer=50))
         assert res.collapsed
 
 
@@ -676,11 +670,11 @@ def mp_result(grid_mid):
 
 
 class TestMountainPass:
-    def test_converges_with_positive_level(self, mp_result):
+    def test_converges_with_positive_level(self, grid_mid, mp_result):
         assert mp_result.descent.converged
         assert mp_result.descent.residual <= 1e-6
-        assert mp_result.c_lambda > 0.0
-        assert mp_result.path_max >= mp_result.c_lambda > 0.0
+        level = energy_total(grid_mid, V_SHIFTED, mp_result.field, PerturbationParams(lam=1.0, p=1.5))
+        assert mp_result.path_max >= level > 0.0
 
     def test_negated_seed_gives_negated_solution(self, grid_mid, mp_result):
         e = default_seed(grid_mid, V_SHIFTED)
@@ -692,7 +686,9 @@ class TestMountainPass:
             MountainPassConfig(),
             seed=neg,
         )
-        assert flipped.c_lambda == pytest.approx(mp_result.c_lambda, rel=1e-10)
+        params = PerturbationParams(lam=1.0, p=1.5)
+        level = energy_total(grid_mid, V_SHIFTED, mp_result.field, params)
+        assert energy_total(grid_mid, V_SHIFTED, flipped.field, params) == pytest.approx(level, rel=1e-10)
         assert float(np.max(np.abs(flipped.field.values + mp_result.field.values))) <= 1e-9
 
     def test_zero_seed_rejected(self, grid1d):
