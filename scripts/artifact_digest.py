@@ -5,9 +5,12 @@ Runs each config of ``lsebench/workloads.py`` (which it only reads) in
 process through ``lse.io_cli``, each into its own temporary output
 directory, and prints one line per config: its index, the exit code, a
 sha256 over the solution fields, ``diagnostics.csv`` and ``checks.csv``
-(each file's name and bytes, in name order), and the ``FAIL`` line if the
-run printed one.  No timing is printed, so the output of two checkouts
-diffs clean exactly when their artifacts are byte-identical.
+(each file's name and bytes, in name order), the lam = 0 energy of each
+solution as written to ``diagnostics.csv`` (``energies=``, comma-separated
+reprs, empty if the run wrote none), and the ``FAIL`` line if the run
+printed one.  No timing is printed, so the output of two checkouts diffs
+clean exactly when their artifacts are byte-identical, and a change that
+is not byte-identical can still be compared by its energies.
 
 Usage (the program is imported from PYTHONPATH, the workloads from this
 checkout):
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -44,13 +48,24 @@ def digest(output_dir: str) -> str:
     return h.hexdigest()
 
 
+def limit_energies(output_dir: str) -> str:
+    """The lam = 0 energies of ``diagnostics.csv``, comma-separated, as
+    written (reprs); empty if there is no such file."""
+    path = os.path.join(output_dir, "diagnostics.csv")
+    if not os.path.exists(path):
+        return ""
+    with open(path, newline="") as handle:
+        return ",".join(row["energy"] for row in csv.DictReader(handle) if float(row["lambda"]) == 0.0)
+
+
 def digest_line(index: int, cfg: dict) -> str:
     with tempfile.TemporaryDirectory() as out:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = run(parse_config(workloads.config_text(cfg, out)), quiet=True)
         fails = [line for line in err.getvalue().splitlines() if line.startswith("FAIL")]
-        return " ".join([f"{index}", f"rc={rc}", f"sha256={digest(out)}", *fails[-1:]])
+        fields = [f"{index}", f"rc={rc}", f"sha256={digest(out)}", f"energies={limit_energies(out)}"]
+        return " ".join(fields + fails[-1:])
 
 
 def main() -> int:

@@ -35,5 +35,9 @@ def test_artifact_digest_prints_one_line_per_config():
     argv = [sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), "--workload", "ladder_1d", "--seed", "5"]
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # ladder_1d has one config, which solves: no FAIL line
-    assert re.fullmatch(r"0 rc=0 sha256=[0-9a-f]{64}\n", proc.stdout)
+    # ladder_1d has one config, which solves its k = 4 solutions: four
+    # lam = 0 energies and no FAIL line
+    match = re.fullmatch(r"0 rc=0 sha256=[0-9a-f]{64} energies=(\S+)\n", proc.stdout)
+    assert match
+    energies = [float(e) for e in match.group(1).split(",")]
+    assert len(energies) == 4 and all(e > 0.0 for e in energies)
