@@ -9,14 +9,18 @@ and the solver works with a p-perturbed version (1 < p < 2, 0 <= lam <= 1)
     I_lam(u) = lam/p * ( integral |grad u|^p + integral |u|^p ) + I(u)
 
 whose critical points converge to solutions of  -Lap u + V u = u log u^2
-as lam -> 0.  The degenerate p-terms are regularized through the edge
-weight w = (|grad u|^2 + eps^2)^((p-2)/2); both the energy and its
-gradient use the *same* weight, so the discrete counterpart of the
-algebraic identity
+as lam -> 0.  Both degenerate p-terms are regularized with the weight
+w(t) = (t^2 + eps^2)^((p-2)/2).  The gradient term pairs w(grad u) with
+|grad u|^2 on every edge, and the energy and its gradient use the *same*
+weight, so its share of the discrete counterpart of the algebraic identity
 
     2 I_lam(u) - <I_lam'(u), u> = (2-p)/p * lam * (p-terms) + integral u^2
 
-holds to round-off, not just to O(eps).
+holds to round-off.  The mass term is integral ((u^2 + eps^2)^(p/2) -
+eps^p), whose exact derivative w(u) u replaces |u|^(p-2) u, the force
+with an infinite slope at u = 0 that stalls the descent as p -> 1.  Its
+share of the identity holds only up to lam * |sum (w(u) eps^2 - eps^p)| *
+vol, at most lam * eps^p times the box volume, not to round-off.
 
 The raw kernels ``_parts_raw`` and ``_gradient_raw`` take one flat field or
 a (B, N) batch of them, and give each row the bytes of its call alone, so
@@ -162,8 +166,9 @@ def validate_potential(g: Grid, potential) -> float:
 # perturbed energy
 
 
-# eps of the edge weight (|grad u|^2 + eps^2)^((p-2)/2); the step operator
-# in lse.solver uses the same value, so its linearization is exact.
+# eps of the weight (t^2 + eps^2)^((p-2)/2) of both p-terms; the step
+# operator in lse.solver uses the same value, so its linearization of the
+# gradient term is exact.
 _GRAD_REG_EPS = 1e-10
 
 
@@ -185,8 +190,8 @@ class PerturbationParams:
 class EnergyParts:
     """Scalar ingredients of I_lam(u), each already integrated over the box.
 
-    p_grad and p_mass are the regularized p-term pairings
-    sum w |grad u|^2 h^dim and integral |u|^p; grad_sq is sum |grad u|^2 h^dim,
+    p_grad and p_mass are the regularized p-terms sum w |grad u|^2 h^dim
+    and integral ((u^2 + eps^2)^(p/2) - eps^p); grad_sq is sum |grad u|^2 h^dim,
     v_mass is integral V u^2, mass is integral u^2 and log_int is
     integral u^2 log u^2.
     """
@@ -209,7 +214,8 @@ class EnergyParts:
         )
 
 
-def _edge_weights(comp: np.ndarray, p: float) -> np.ndarray:
+def _p_weights(comp: np.ndarray, p: float) -> np.ndarray:
+    """The p-term weight w(t) = (t^2 + eps^2)^((p-2)/2) of each entry."""
     return (comp * comp + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
 
 
@@ -232,8 +238,9 @@ def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationPa
     mass = _point_sum(u * u) * vol
     log_int = _point_sum(log_density(u)) * vol
     if params.lam > 0.0:
-        p_grad = _edge_integral(g, [_edge_weights(c, params.p) * c * c for c in comps])
-        p_mass = _point_sum(np.abs(u) ** params.p) * vol
+        p_grad = _edge_integral(g, [_p_weights(c, params.p) * c * c for c in comps])
+        eps2 = _GRAD_REG_EPS * _GRAD_REG_EPS
+        p_mass = _point_sum((u * u + eps2) ** (params.p / 2.0) - eps2 ** (params.p / 2.0)) * vol
     else:
         p_grad = p_mass = 0.0
     return EnergyParts(
@@ -267,8 +274,8 @@ def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: Perturbatio
     lap = _neg_div(g, comps).reshape(u.shape)
     core = lap + vvals * u - np.asarray(log_nonlin(u))
     if params.lam > 0.0:
-        fluxes = [_edge_weights(c, params.p) * c for c in comps]
-        p_part = _neg_div(g, fluxes).reshape(u.shape) + np.sign(u) * np.abs(u) ** (params.p - 1.0)
+        fluxes = [_p_weights(c, params.p) * c for c in comps]
+        p_part = _neg_div(g, fluxes).reshape(u.shape) + _p_weights(u, params.p) * u
         core = core + params.lam * p_part
     return core
 
@@ -276,7 +283,7 @@ def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: Perturbatio
 def el_gradient(g: Grid, potential, u: Field, params: PerturbationParams) -> Field:
     """Euler-Lagrange gradient G with integrate(G * phi) = <I_lam'(u), phi>.
 
-    G = lam * ( -div(w grad u) + |u|^{p-2} u ) + ( -Lap u + V u - u log u^2 );
+    G = lam * ( -div(w grad u) + w(u) u ) + ( -Lap u + V u - u log u^2 );
     the (V + 1) u term of the quadratic part and the +u from the derivative
     of the log term cancel.
     """

@@ -336,3 +336,21 @@ class TestParitySectors:
             # Newton factor of the stage before
             assert [held for _, held in descents] == [False] + [True] * 5
             assert not owner.holds_jacobian  # released when the solve ended
+
+
+class TestLimitInvariance:
+    """The lam -> 0 limit does not depend on how the perturbation is taken
+    away: the paper's perturbed critical points converge to critical points
+    of the unperturbed energy."""
+
+    @staticmethod
+    def energies(g, p=1.5, sched=ContinuationSchedule(), k=1):
+        sols = find_k_solutions(g, V_HARMONIC, sched, PerturbationParams(lam=1.0, p=p), MountainPassConfig(), k)
+        assert len(sols) == k
+        return np.array([energy for _, energy, _ in sols])
+
+    @pytest.mark.parametrize("p", [1.05, 1.15])
+    def test_ground_state_near_the_p_edge(self, gmid, p):
+        # with the bare p-mass force |u|^(p-2) u this solve failed at
+        # p = 1.05 and converged to a wrong field of energy 106.7 at 1.15
+        assert self.energies(gmid, p=p) == pytest.approx(self.energies(gmid), rel=1e-12)
