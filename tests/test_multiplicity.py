@@ -354,3 +354,17 @@ class TestLimitInvariance:
         # with the bare p-mass force |u|^(p-2) u this solve failed at
         # p = 1.05 and converged to a wrong field of energy 106.7 at 1.15
         assert self.energies(gmid, p=p) == pytest.approx(self.energies(gmid), rel=1e-12)
+
+    @pytest.mark.parametrize("dim,half_width,points,k", [(1, 8.0, 254, 4), (2, 6.0, 40, 3)])
+    def test_limit_energies_independent_of_p_and_schedule(self, dim, half_width, points, k):
+        g = make_grid(dim, half_width, points)
+        reference = self.energies(g, k=k)
+        runs = [self.energies(g, p=p, k=k) for p in (1.3, 1.9)]
+        for sched in (
+            ContinuationSchedule(ratio=0.3),
+            ContinuationSchedule(lambda_start=0.5, ratio=0.5),
+            ContinuationSchedule(lambda_start=1e-4, lambda_min=1e-4),
+        ):
+            runs.append(self.energies(g, sched=sched, k=k))
+        for energies in runs:
+            assert energies == pytest.approx(reference, rel=1e-10)
