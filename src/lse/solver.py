@@ -640,13 +640,16 @@ def _newton_polish(
     most seven times) until the residual falls by 1%.
     """
 
-    def trial(cand):
+    def trial(cand, bound):
+        """(cand, its gradient, its residual) if that residual is finite and
+        below bound, else None."""
         gnew = _gradient_raw(g, vvals, cand, params)
-        return cand, gnew, _h1v_raw(g, vvals, precond.solve(gnew))
+        rnew = _h1v_raw(g, vvals, precond.solve(gnew))
+        return (cand, gnew, rnew) if np.isfinite(rnew) and rnew < bound else None
 
     if lu.holds_jacobian:
-        step = trial(u - lu.solve(grad))
-        if np.isfinite(step[2]) and step[2] < _CHORD_THETA * resid:
+        step = trial(u - lu.solve(grad), _CHORD_THETA * resid)
+        if step is not None:
             return step
     lu.factor(_newton_matrix(g, vvals, u, params))
     lu.holds_jacobian = lu.lags_jacobian
@@ -654,8 +657,8 @@ def _newton_polish(
     delta = lu.solve(grad)
     damp = 1.0
     for _ in range(8):
-        step = trial(u - damp * delta)
-        if np.isfinite(step[2]) and step[2] < 0.99 * resid:
+        step = trial(u - damp * delta, 0.99 * resid)
+        if step is not None:
             return step
         damp *= 0.5
     return None
