@@ -63,7 +63,6 @@ from .solver import (
     mountain_pass,
 )
 from .verify import (
-    REGISTRY,
     CheckResult,
     check_energy_identity,
     check_gradient_fd,
@@ -91,7 +90,6 @@ __all__ = [
     "MountainPassResult",
     "PerturbationParams",
     "Quartic",
-    "REGISTRY",
     "RunSpec",
     "Shifted",
     "SolveReport",

@@ -183,7 +183,7 @@ class PerturbationParams:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"perturbation strength out of range: lam={self.lam}")
         if not 1.0 < self.p < 2.0:
-            raise ValueError(f"exponent out of range: p={self.p} (must satisfy 1 < p < 2)")
+            raise ValueError(f"exponent p={self.p} outside the open interval (1, 2)")
 
 
 @dataclass(frozen=True)

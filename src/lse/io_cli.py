@@ -2,6 +2,9 @@
 
 The configuration format is flat ``key=value`` lines with ``#`` comments; the
 key set is fixed and validated eagerly so a bad run dies before any compute.
+``parse_config`` checks each value's type; the range of a grid, ``p``,
+schedule or descent key is checked by the object that owns it, which it
+builds and whose ValueError it reports as a ConfigError naming the keys.
 Field files use the self-describing ``LSEF1`` layout: a magic line, a header
 line ``dim points half_width``, then the raw little-endian float64 payload in
 row-major order.  All output files are written to a temporary file in the
@@ -52,9 +55,13 @@ log = logging.getLogger(__name__)
 
 _EMIT_CHOICES = frozenset({"fields", "diagnostics", "plotdata", "checks"})
 
-#: Checks whose failure makes a run exit nonzero.  The remaining registry
-#: checks are still run and recorded, but only advise.
+#: Checks whose failure makes a run exit nonzero.  The other checks of
+#: ``_run_checks`` are still run and recorded, but only advise.
 _GATE_CHECKS = ("nehari", "energy_identity", "linf")
+
+#: Columns of one check, as ``lse verify`` prints it and as ``checks.csv``
+#: lists it after the solution index ``j``.
+_CHECK_HEADER = "check_name,margin,tolerance,pass"
 
 _MAGIC = b"LSEF1\n"
 
@@ -94,13 +101,11 @@ class RunSpec:
 _CONFIG_KEYS = tuple(f.name for f in fields(RunSpec))
 
 
-def _parse_int(key: str, raw: str, minimum: int | None = None, choices: tuple[int, ...] | None = None) -> int:
+def _parse_int(key: str, raw: str, minimum: int | None = None) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
-    if choices is not None and value not in choices:
-        raise ConfigError(f"key {key!r}: must be one of {sorted(choices)}, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"key {key!r}: must be >= {minimum}, got {value}")
     return value
@@ -114,6 +119,16 @@ def _parse_float(key: str, raw: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
     return value
+
+
+def _check_owned(keys: tuple[str, ...], owner, *args) -> None:
+    """Build ``owner(*args)``, the object that checks the ranges of
+    ``keys``, and turn its ValueError into a ConfigError naming them."""
+    try:
+        owner(*args)
+    except ValueError as exc:
+        names = ", ".join(map(repr, keys))
+        raise ConfigError(f"key{'s' if len(keys) > 1 else ''} {names}: {exc}") from None
 
 
 def build_potential(desc: str):
@@ -173,33 +188,22 @@ def parse_config(text: str) -> RunSpec:
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
 
-    dim = _parse_int("dim", values["dim"], choices=(1, 2, 3))
+    dim = _parse_int("dim", values["dim"])
     half_width = _parse_float("half_width", values["half_width"])
-    if half_width <= 0.0:
-        raise ConfigError(f"key 'half_width': must be positive, got {half_width}")
-    points = _parse_int("points", values["points"], minimum=3)
+    points = _parse_int("points", values["points"])
+    _check_owned(("dim", "half_width", "points"), make_grid, dim, half_width, points)
     build_potential(values["potential"])
     p = _parse_float("p", values["p"])
-    if not 1.0 < p < 2.0:
-        raise ConfigError(f"key 'p': must lie in the open interval (1, 2), got {p}")
+    _check_owned(("p",), PerturbationParams, 0.0, p)
     lambda_start = _parse_float("lambda_start", values["lambda_start"])
-    if not 0.0 < lambda_start <= 1.0:
-        raise ConfigError(f"key 'lambda_start': must lie in (0, 1], got {lambda_start}")
     lambda_ratio = _parse_float("lambda_ratio", values["lambda_ratio"])
-    if not 0.0 < lambda_ratio < 1.0:
-        raise ConfigError(
-            f"key 'lambda_ratio': must lie in the open interval (0, 1) "
-            f"or the schedule never terminates, got {lambda_ratio}"
-        )
     lambda_min = _parse_float("lambda_min", values["lambda_min"])
-    if not 0.0 < lambda_min <= lambda_start:
-        raise ConfigError(
-            f"key 'lambda_min': must lie in (0, lambda_start], got {lambda_min}"
-        )
+    _check_owned(
+        ("lambda_start", "lambda_ratio", "lambda_min"), ContinuationSchedule, lambda_start, lambda_ratio, lambda_min
+    )
     tol_grad = _parse_float("tol_grad", values["tol_grad"])
-    if tol_grad <= 0.0:
-        raise ConfigError(f"key 'tol_grad': must be positive, got {tol_grad}")
-    max_outer = _parse_int("max_outer", values["max_outer"], minimum=1)
+    max_outer = _parse_int("max_outer", values["max_outer"])
+    _check_owned(("tol_grad", "max_outer"), MountainPassConfig, tol_grad, max_outer)
     k_solutions = _parse_int("k_solutions", values["k_solutions"], minimum=1)
     rng_seed = _parse_int("rng_seed", values["rng_seed"], minimum=0)
     output_dir = values["output_dir"]
@@ -303,15 +307,16 @@ def read_field(path: str) -> tuple[Grid, Field]:
 
 
 def _gradient_check(g: Grid, potential, spec: RunSpec) -> CheckResult:
-    """The registry's gradient check, which depends on the run, not on a
-    solution: its fields are random draws seeded by ``rng_seed``."""
+    """The gradient check, which depends on the run, not on a solution: its
+    fields are random draws seeded by ``rng_seed``."""
     params0 = PerturbationParams(lam=0.0, p=spec.p)
     return check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed)
 
 
 def _run_checks(g: Grid, potential, u: Field, spec: RunSpec, gradient: CheckResult) -> list[CheckResult]:
-    """All registry checks for one accepted solution, in registry order;
-    ``gradient`` is the run's ``_gradient_check``."""
+    """Every check of one accepted solution, in the order ``checks.csv``
+    and ``lse verify`` list them; ``gradient`` is the run's
+    ``_gradient_check``."""
     params0 = PerturbationParams(lam=0.0, p=spec.p)
     nehari_tol = 20.0 * spec.tol_grad * norm_h1v(g, potential, u)
     return [
@@ -341,11 +346,15 @@ def _diagnostics_text(solutions) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_row(res: CheckResult) -> str:
+    """One check as a row under ``_CHECK_HEADER``."""
+    return f"{res.name},{res.margin!r},{res.tolerance!r},{int(res.passed)}"
+
+
 def _checks_text(all_checks: list[list[CheckResult]]) -> str:
-    lines = ["j,check_name,margin,tolerance,pass"]
+    lines = ["j," + _CHECK_HEADER]
     for j, results in enumerate(all_checks, start=1):
-        for res in results:
-            lines.append(f"{j},{res.name},{res.margin!r},{res.tolerance!r},{int(res.passed)}")
+        lines.extend(f"{j},{_check_row(res)}" for res in results)
     return "\n".join(lines) + "\n"
 
 
@@ -437,31 +446,28 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
 # CLI
 
 
-def _load_spec(config_path: str, output_dir: str | None) -> RunSpec:
-    with open(config_path, "r", encoding="utf-8") as handle:
-        spec = parse_config(handle.read())
-    if output_dir is not None:
-        spec = replace(spec, output_dir=output_dir)
-    return spec
+def _load_spec(config_path: str, output_dir: str | None = None) -> RunSpec | int:
+    """The config file's RunSpec, or the exit code of the ``FAIL io`` or
+    ``FAIL config`` line printed when it cannot be read or parsed."""
+    try:
+        with open(config_path, "r", encoding="utf-8") as handle:
+            spec = parse_config(handle.read())
+    except OSError as exc:
+        return _fail("io", str(exc))
+    except ConfigError as exc:
+        return _fail("config", str(exc))
+    return spec if output_dir is None else replace(spec, output_dir=output_dir)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.config, args.output_dir)
-    except OSError as exc:
-        return _fail("io", str(exc))
-    except ConfigError as exc:
-        return _fail("config", str(exc))
-    return run(spec, quiet=args.quiet)
+    spec = _load_spec(args.config, args.output_dir)
+    return spec if isinstance(spec, int) else run(spec, quiet=args.quiet)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.config, None)
-    except OSError as exc:
-        return _fail("io", str(exc))
-    except ConfigError as exc:
-        return _fail("config", str(exc))
+    spec = _load_spec(args.config)
+    if isinstance(spec, int):
+        return spec
     try:
         g, u = read_field(args.field)
     except (OSError, FieldFormatError) as exc:
@@ -481,9 +487,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail("verify", str(exc))
     if not args.quiet:
-        print("check_name,margin,tolerance,pass")
+        print(_CHECK_HEADER)
         for res in results:
-            print(f"{res.name},{res.margin!r},{res.tolerance!r},{int(res.passed)}")
+            print(_check_row(res))
     res = _failed_gate(results)
     if res is not None:
         return _fail(
@@ -520,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--quiet", action="store_true", help="suppress the per-solution summary")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_verify = sub.add_parser("verify", help="run the registry checks on an existing field file")
+    p_verify = sub.add_parser("verify", help="run the invariant checks on an existing field file")
     p_verify.add_argument("field", help="path to an LSEF1 field file")
     p_verify.add_argument("config", help="config supplying the potential and parameters")
     p_verify.add_argument("--quiet", action="store_true", help="suppress the per-check table")

@@ -155,7 +155,7 @@ class ContinuationSchedule:
             raise ValueError(f"lambda_start={self.lambda_start} out of (0, 1]")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(
-                f"ratio={self.ratio} does not decrease the perturbation (need 0 < ratio < 1)"
+                f"ratio={self.ratio} must lie in the open interval (0, 1) or the schedule never terminates"
             )
         if not 0.0 < self.lambda_min <= self.lambda_start:
             raise ValueError(f"lambda_min={self.lambda_min} out of (0, lambda_start]")

@@ -12,8 +12,8 @@ Two margin conventions are used deliberately:
   the inequality without normalisation, so a large field cannot mask a
   violation; they pass when the margin is nonnegative.
 
-``REGISTRY`` maps check names to the functions: it is the closed set of
-check names, in the order ``checks.csv`` lists them.
+The CLI runs all six on every accepted solution, in the order of
+``lse.io_cli._run_checks``, which is the order ``checks.csv`` lists them.
 
 ``gradient_fd`` hands its trials to the batched energy kernels in chunks
 of at most ``_BATCH_VALUES`` shifted values per call, and one field per
@@ -40,7 +40,6 @@ from .grid import Field, Grid, _grad_sq, _require_same_grid, integrate
 
 __all__ = [
     "CheckResult",
-    "REGISTRY",
     "check_nehari",
     "check_energy_identity",
     "check_scaling",
@@ -72,26 +71,16 @@ class CheckResult:
     ``margin`` follows the convention of the owning check (relative defect
     for identities, signed slack for inequalities); ``passed`` encodes the
     correct comparison so consumers never need to know which kind they got.
-    ``digest`` records the inputs that determined the number (grid shape and
-    any parameters) for callers that keep the result; neither
-    ``checks.csv`` nor the checks the CLI prints carry it.
     """
 
     name: str
     margin: float
     tolerance: float
     passed: bool
-    digest: str
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.margin):
             raise ValueError(f"check {self.name!r} produced non-finite margin {self.margin}")
-
-
-def _digest(g: Grid, **extras: object) -> str:
-    parts = [f"dim={g.dim}", f"n={g.points_per_dim}", f"L={g.half_width!r}"]
-    parts.extend(f"{key}={value!r}" for key, value in extras.items())
-    return ";".join(parts)
 
 
 def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> CheckResult:
@@ -113,7 +102,6 @@ def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> Ch
         margin=margin,
         tolerance=tolerance,
         passed=margin <= tolerance,
-        digest=_digest(g),
     )
 
 
@@ -143,7 +131,6 @@ def check_energy_identity(
         margin=margin,
         tolerance=tolerance,
         passed=margin <= tolerance,
-        digest=_digest(g, lam=params.lam, p=params.p),
     )
 
 
@@ -175,7 +162,6 @@ def check_scaling(
         margin=margin,
         tolerance=tolerance,
         passed=margin <= tolerance,
-        digest=_digest(g, mu=mu),
     )
 
 
@@ -201,7 +187,6 @@ def check_log_sobolev(g: Grid, u: Field, a: float) -> CheckResult:
         margin=margin,
         tolerance=0.0,
         passed=margin >= 0.0,
-        digest=_digest(g, a=a),
     )
 
 
@@ -216,7 +201,6 @@ def check_linf(u: Field, cap: float = 1e3) -> CheckResult:
         margin=margin,
         tolerance=0.0,
         passed=margin >= 0.0,
-        digest=_digest(u.grid, cap=cap),
     )
 
 
@@ -249,7 +233,6 @@ def check_gradient_fd(
         margin=worst,
         tolerance=tolerance,
         passed=worst <= tolerance,
-        digest=_digest(g, lam=params.lam, p=params.p, trials=trials, seed=rng_seed),
     )
 
 
@@ -285,15 +268,3 @@ def _fd_defects(g: Grid, vvals: np.ndarray, params: PerturbationParams, trials: 
             u[i], phi[i] = rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n)
         energies = _parts_raw(g, vvals, np.concatenate((u + _FD_EPS * phi, u - _FD_EPS * phi)), params).total
         yield from map(defect, _gradient_raw(g, vvals, u, params), phi, energies[:m], energies[m:])
-
-
-#: The complete, closed set of named checks.  Consumers (CLI, acceptance
-#: suite) must reference checks only through these names.
-REGISTRY = {
-    "nehari": check_nehari,
-    "energy_identity": check_energy_identity,
-    "scaling": check_scaling,
-    "log_sobolev": check_log_sobolev,
-    "linf": check_linf,
-    "gradient_fd": check_gradient_fd,
-}
