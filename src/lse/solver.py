@@ -124,6 +124,12 @@ _BACKTRACK_RATIO = 0.5
 _MAX_BACKTRACKS = 40
 # Saddle-free Newton steps of ``_subspace_local_max`` per outer iteration.
 _SUBSPACE_MAX_INNER = 10
+# Most lam stages a ContinuationSchedule may have.  The paper's schedule
+# (1, 0.1, ..., 1e-4) has 5 and the longest run anywhere in the project has
+# 13; a ratio near 1 with a tiny lambda_min (0.9999999 down to 1e-300 is
+# about 6.9e9 stages) could never finish and would exhaust memory in
+# ``lambdas``.
+_MAX_STAGES = 100
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,14 @@ class ContinuationSchedule:
             )
         if not 0.0 < self.lambda_min <= self.lambda_start:
             raise ValueError(f"lambda_min={self.lambda_min} out of (0, lambda_start]")
+        # the k >= 0 with lambda_start * ratio^k >= lambda_min, counted
+        # without building the list (``lambdas`` may differ by one in rounding)
+        stages = 1 + math.floor(math.log(self.lambda_min / self.lambda_start) / math.log(self.ratio))
+        if stages > _MAX_STAGES:
+            raise ValueError(
+                f"schedule of about {stages} stages exceeds the limit of {_MAX_STAGES} "
+                f"(ratio={self.ratio}, lambda_min={self.lambda_min})"
+            )
 
     def lambdas(self) -> list[float]:
         out = []

@@ -101,6 +101,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lambda_min"):
             parse_config(config_text(lambda_start="0.5", lambda_min="0.9"))
 
+    def test_overlong_schedule(self):
+        # about 6.9e9 stages: rejected before any list of them is built
+        with pytest.raises(ConfigError, match="lambda_ratio.*stages"):
+            parse_config(config_text(lambda_ratio="0.9999999", lambda_min="1e-300"))
+
     def test_bad_emit_token(self):
         with pytest.raises(ConfigError, match="unknown target 'movies'"):
             parse_config(config_text(emit="fields,movies"))

@@ -86,6 +86,7 @@ class TestConfigs:
             {"lambda_start": 1.5},
             {"lambda_min": 0.0},
             {"lambda_min": 2.0},  # above lambda_start
+            {"ratio": 0.9999999, "lambda_min": 1e-300},  # about 6.9e9 stages
         ],
     )
     def test_schedule_rejects(self, kwargs):
