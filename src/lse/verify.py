@@ -115,10 +115,11 @@ def check_energy_identity(
 ) -> CheckResult:
     """Algebraic identity 2*E(u) - <E'(u), u> == (2-p)/p * lam * p-terms + mass.
 
-    Holds for every field, not only critical points, because both sides are
-    evaluated with the same regularised p-term quadrature.  This is the
-    module's strongest self-consistency test: it couples the energy and the
-    gradient assembly through an exact cancellation.
+    Checked on any field, not only at critical points, it couples the
+    energy and the gradient assembly.  At lam = 0 it holds to round-off.  At
+    lam > 0 the regularized p-mass term leaves a defect of lam * |sum (w(u)
+    eps^2 - eps^p)| * vol, at most lam * eps^p times the box volume (see
+    :mod:`lse.energy`), which can exceed the tolerance near p = 1.
     """
     parts = energy_parts(g, potential, u, params)
     grad = el_gradient(g, potential, u, params)

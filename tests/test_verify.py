@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lse.energy import Harmonic, PerturbationParams, energy_parts, energy_total, el_gradient
+from lse.energy import _GRAD_REG_EPS, Harmonic, PerturbationParams, energy_parts, energy_total, el_gradient
 from lse.grid import Field, make_grid, quotient_grid
 from lse.solver import Preconditioner
 from lse.verify import (
@@ -96,6 +96,16 @@ class TestEnergyIdentity:
     def test_zero_field_zero_margin(self, grid1d):
         z = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
         assert check_energy_identity(grid1d, V, z, PerturbationParams(lam=0.5)).margin == 0.0
+
+    @pytest.mark.parametrize("dim,half_width,points,p", [(1, 8.0, 254, 1.05), (3, 5.0, 16, 1.02)])
+    def test_small_fields_near_p_one(self, dim, half_width, points, p):
+        # round-off at lam = 0; at lam > 0 the regularized p-mass term leaves
+        # a defect of at most lam * eps^p times the box volume
+        g = make_grid(dim, half_width, points)
+        u = Field(grid=g, values=np.random.default_rng(0).uniform(-2e-3, 2e-3, g.npoints))
+        assert check_energy_identity(g, V, u, PerturbationParams(lam=0.0, p=p)).margin <= 1e-15
+        bound = _GRAD_REG_EPS**p * (2.0 * half_width) ** dim
+        assert check_energy_identity(g, V, u, PerturbationParams(lam=1.0, p=p)).margin <= bound
 
 
 class TestScaling:
