@@ -106,6 +106,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lambda_ratio.*stages"):
             parse_config(config_text(lambda_ratio="0.9999999", lambda_min="1e-300"))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("half_width", "0"), ("half_width", "-1"), ("points", "2"), ("lambda_start", "0"),
+            ("lambda_start", "1.5"), ("lambda_min", "0"), ("tol_grad", "0"), ("max_outer", "0"),
+            ("k_solutions", "0"), ("rng_seed", "-1"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(config_text(**{key: value}))
+
     def test_bad_emit_token(self):
         with pytest.raises(ConfigError, match="unknown target 'movies'"):
             parse_config(config_text(emit="fields,movies"))
@@ -367,6 +379,8 @@ class TestMain:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "check_name,margin,tolerance,pass"
         assert len(out) == 7
+        rows = (cli_run["out"] / "checks.csv").read_text().splitlines()[1:]
+        assert out[1:] == [row.split(",", 1)[1] for row in rows]
 
     def test_verify_grid_mismatch(self, cli_run, tmp_path, capsys):
         other = tmp_path / "other.cfg"
