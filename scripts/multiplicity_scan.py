@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Scan the k-solution driver over a fixed list of multiplicity cases.
+
+Runs ``find_k_solutions`` with the default ``ContinuationSchedule`` and
+``MountainPassConfig`` at lam_start = 1 on each case: 1d L = 8 with n = 254
+and 255, 2d L = 6 with n = 40 and 41, and 3d L = 5 with n = 16; the
+potentials harmonic:2.0, quartic:1.0 and shifted:harmonic:0.7:0.3, the odd
+point counts only with the shifted one (the other two vanish at the
+origin, which an odd n puts on the grid); p in {1.3, 1.9}; k in {3, 5}, or
+k = 3 only in 3d.  That is 38 cases.
+
+Prints one line per case: its label and the sorted lam = 0 energies of the
+solutions found (reprs, comma-separated), or the exception it raised.  No
+timing is printed, so the outputs of two checkouts diff line by line where
+a change to the solver changes which solutions the driver finds.
+
+Usage (the program is imported from PYTHONPATH):
+    PYTHONPATH=src python3 scripts/multiplicity_scan.py
+    PYTHONPATH=src python3 scripts/multiplicity_scan.py --dims 1
+"""
+
+from __future__ import annotations
+
+import argparse
+
+from lse.energy import PerturbationParams
+from lse.grid import make_grid
+from lse.io_cli import build_potential
+from lse.multiplicity import find_k_solutions
+from lse.solver import ContinuationSchedule, MountainPassConfig, SolverError
+
+# dim -> (half width, point counts)
+GRIDS = {1: (8.0, (254, 255)), 2: (6.0, (40, 41)), 3: (5.0, (16,))}
+POTENTIALS = ("harmonic:2.0", "quartic:1.0", "shifted:harmonic:0.7:0.3")
+SHIFTED = POTENTIALS[2]
+
+
+def cases(dims):
+    """(dim, half width, n, potential descriptor, p, k) of every scanned case."""
+    for dim in dims:
+        half_width, counts = GRIDS[dim]
+        for n in counts:
+            for desc in POTENTIALS if n % 2 == 0 else (SHIFTED,):
+                for p in (1.3, 1.9):
+                    for k in (3, 5) if dim < 3 else (3,):
+                        yield dim, half_width, n, desc, p, k
+
+
+def scan_line(dim, half_width, n, desc, p, k) -> str:
+    label = f"dim={dim} n={n} V={desc} p={p} k={k}:"
+    try:
+        found = find_k_solutions(
+            make_grid(dim, half_width, n),
+            build_potential(desc),
+            ContinuationSchedule(),
+            PerturbationParams(lam=1.0, p=p),
+            MountainPassConfig(),
+            k,
+        )
+    except (SolverError, ValueError) as exc:
+        return f"{label} {type(exc).__name__}: {exc}"
+    return f"{label} " + ",".join(repr(energy) for _, energy, _ in found)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dims", type=int, nargs="+", choices=sorted(GRIDS), default=sorted(GRIDS))
+    args = parser.parse_args()
+    for case in cases(sorted(set(args.dims))):
+        print(scan_line(*case), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

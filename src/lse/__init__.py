@@ -21,6 +21,7 @@ from .energy import (
     energy_total,
     log_density,
     log_nonlin,
+    norm_w1p,
     residual_original,
     validate_potential,
 )
@@ -32,7 +33,6 @@ from .grid import (
     make_grid,
     neg_laplacian_apply,
     norm_h1v,
-    norm_w1p,
 )
 from .io_cli import (
     ConfigError,
@@ -44,7 +44,7 @@ from .io_cli import (
     run,
     write_field,
 )
-from .multiplicity import find_k_solutions, structured_seed
+from .multiplicity import find_k_solutions
 from .solver import (
     CollapseError,
     ContinuationSchedule,
@@ -58,9 +58,9 @@ from .solver import (
     SolverError,
     check_geometry,
     continue_to_limit,
-    default_seed,
     descend,
     mountain_pass,
+    structured_seed,
 )
 from .verify import (
     CheckResult,
@@ -103,7 +103,6 @@ __all__ = [
     "check_nehari",
     "check_scaling",
     "continue_to_limit",
-    "default_seed",
     "descend",
     "el_gradient",
     "energy_parts",

@@ -22,6 +22,11 @@ with an infinite slope at u = 0 that stalls the descent as p -> 1.  Its
 share of the identity holds only up to lam * |sum (w(u) eps^2 - eps^p)| *
 vol, at most lam * eps^p times the box volume, not to round-off.
 
+Only this module knows the perturbation term: eps, the weight and its
+slope ``_p_slope`` (which the solver's step operator takes from here), the
+range of p and ``norm_w1p``, the unregularized norm the p-terms are tested
+against.
+
 The raw kernels ``_parts_raw`` and ``_gradient_raw`` take one flat field or
 a (B, N) batch of them, and give each row the bytes of its call alone, so
 independent fields (the difference points of the solver's subspace
@@ -50,6 +55,7 @@ __all__ = [
     "energy_total",
     "el_gradient",
     "residual_original",
+    "norm_w1p",
 ]
 
 
@@ -166,9 +172,8 @@ def validate_potential(g: Grid, potential) -> float:
 # perturbed energy
 
 
-# eps of the weight (t^2 + eps^2)^((p-2)/2) of both p-terms; the step
-# operator in lse.solver uses the same value, so its linearization of the
-# gradient term is exact.
+# eps of the weight (t^2 + eps^2)^((p-2)/2) of both p-terms; the solver's
+# step operator reads it only through ``_p_weights`` and ``_p_slope``.
 _GRAD_REG_EPS = 1e-10
 
 
@@ -217,6 +222,13 @@ class EnergyParts:
 def _p_weights(comp: np.ndarray, p: float) -> np.ndarray:
     """The p-term weight w(t) = (t^2 + eps^2)^((p-2)/2) of each entry."""
     return (comp * comp + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
+
+
+def _p_slope(t: np.ndarray, p: float) -> np.ndarray:
+    """d/dt (w(t) t) = w(t) (1 + (p-2) t^2 / (t^2 + eps^2)), in (0, w(t)], of
+    each entry: the edge coefficient of the p-gradient term's Hessian."""
+    t2 = t * t
+    return _p_weights(t, p) * (1.0 + (p - 2.0) * t2 / (t2 + _GRAD_REG_EPS * _GRAD_REG_EPS))
 
 
 def _point_sum(values: np.ndarray):
@@ -295,3 +307,12 @@ def residual_original(g: Grid, potential, u: Field) -> Field:
     """Pointwise residual -Lap u + V u - u log u^2 of the unperturbed equation,
     which is el_gradient at lam = 0."""
     return el_gradient(g, potential, u, PerturbationParams(lam=0.0))
+
+
+def norm_w1p(g: Grid, u: Field, p: float) -> float:
+    """Unregularized W^{1,p} norm ( sum|grad u|^p h^dim + integral |u|^p )^(1/p)."""
+    _require_same_grid(g, u)
+    PerturbationParams(lam=0.0, p=p)  # the range check of p
+    grad_part = _edge_integral(g, [np.abs(c) ** p for c in _gradient_components(g, u.nd())])
+    mass_part = float((np.abs(u.values) ** p).sum()) * g.weight
+    return float((grad_part + mass_part) ** (1.0 / p))

@@ -55,7 +55,6 @@ __all__ = [
     "neg_laplacian_apply",
     "integrate",
     "norm_h1v",
-    "norm_w1p",
 ]
 
 
@@ -281,12 +280,3 @@ def norm_h1v(g: Grid, potential, u: Field) -> float:
     _require_same_grid(g, u)
     return _h1v_raw(g, potential.evaluate(g).values, u.values)
 
-
-def norm_w1p(g: Grid, u: Field, p: float) -> float:
-    """Unweighted W^{1,p} norm ( sum|grad u|^p h^dim + integral |u|^p )^(1/p)."""
-    _require_same_grid(g, u)
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"exponent out of range: p={p} (must satisfy 1 < p < 2)")
-    grad_part = _edge_integral(g, [np.abs(c) ** p for c in _gradient_components(g, u.nd())])
-    mass_part = float((np.abs(u.values) ** p).sum()) * g.weight
-    return float((grad_part + mass_part) ** (1.0 / p))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from numpy.polynomial import hermite as herm
 
 from .energy import PerturbationParams, Tabulated
 from .grid import Field, Grid, _h1v_raw, quotient_grid, unfold
@@ -40,10 +39,10 @@ from .solver import (
     Preconditioner,
     SolveReport,
     continue_to_limit,
+    structured_seed,
 )
 
 __all__ = [
-    "structured_seed",
     "find_k_solutions",
 ]
 
@@ -51,29 +50,6 @@ log = logging.getLogger(__name__)
 
 # Weighted-norm distance, modulo sign, below which two solutions are the same.
 _SEPARATION = 0.1
-
-
-def structured_seed(g: Grid, j: int, potential) -> Field:
-    """j-th seed profile: Hermite polynomial of degree j-1 along the first
-    axis times a Gaussian envelope, so the seed has j-1 sign changes.
-
-    Normalized to unit weighted-Sobolev norm.  Raises for j >= n/2 (n the
-    points per axis across the box), where the oscillations are no longer
-    resolved.  On a quotient grid it is the restriction of the full-grid
-    seed; only a seed whose parity matches the grid's mirror is meaningful.
-    """
-    if j < 1:
-        raise ValueError(f"seed index j={j} must be at least 1")
-    if j >= g.box_points / 2:
-        raise ValueError(
-            f"seed index j={j} under-resolved on {g.box_points} points per axis "
-            f"(need j < n/2)"
-        )
-    x1 = g.coordinate_arrays()[0]
-    coeffs = np.zeros(j)
-    coeffs[j - 1] = 1.0
-    vals = (herm.hermval(x1, coeffs) * np.exp(-g.radius_squared())).reshape(-1)
-    return Field(grid=g, values=vals / _h1v_raw(g, potential.evaluate(g).values, vals))
 
 
 def find_k_solutions(

@@ -69,17 +69,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial import hermite as herm
 from scipy.linalg.lapack import dgbtrf as _gbtrf
 from scipy.linalg.lapack import dgbtrs as _gbtrs
 
 from .energy import (
-    _GRAD_REG_EPS,
     PerturbationParams,
     _gradient_raw,
+    _p_slope,
+    _p_weights,
     _parts_raw,
     validate_potential,
 )
-from .grid import Field, Grid, _gradient_components, _h1v_raw, norm_w1p
+from .grid import Field, Grid, _gradient_components, _h1v_raw
 
 __all__ = [
     "MountainPassConfig",
@@ -93,7 +95,7 @@ __all__ = [
     "GeometryFailure",
     "CollapseError",
     "ConvergenceFailure",
-    "default_seed",
+    "structured_seed",
     "check_geometry",
     "descend",
     "mountain_pass",
@@ -407,29 +409,28 @@ def _linearized_matrix(
     depend on u) the fixed operator of ``Preconditioner``.
 
     This is (-Lap + V + 1) plus the exact second derivative of the
-    p-gradient term (a divergence form with per-edge coefficients) and the
-    regularized second derivative of the p-mass term.  Without the latter,
-    the |u|^(p-1) nonlinearity makes preconditioned descent oscillate
-    around the nearly-sparse tail instead of settling on it.  Filled into
+    p-gradient term (a divergence form with the edge coefficients
+    ``_p_slope``) and (p-1) w(u), with w = ``_p_weights``, for the p-mass
+    term.  Without the latter, the |u|^(p-1) nonlinearity makes
+    preconditioned descent oscillate around the nearly-sparse tail
+    instead of settling on it.  Filled into
     ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.  On
     a quotient grid the mirror edge enters the face diagonal with 0 (even)
     or 2 (odd) times its coefficient, as d(mirror edge)/du = (1 - parity)/h.
     """
-    lam, p, eps = params.lam, params.p, _GRAD_REG_EPS
+    lam, p = params.lam, params.p
     n, h = g.points_per_dim, g.spacing
     _, indices, diag_pos, edges = _stencil_pattern(g.dim, n)
     data = np.empty(indices.size)
     diag = np.zeros(g.shape)
     for d, (c, (lower, upper)) in enumerate(zip(_gradient_components(g, u.reshape(g.shape)), edges)):
-        g2 = c * c
-        # d/dg [ (g^2 + eps^2)^((p-2)/2) g ] -- always in (0, weight]
-        coeff = 1.0 + lam * ((g2 + eps * eps) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * g2 / (g2 + eps * eps)))
+        coeff = 1.0 + lam * _p_slope(c, p)
         lead = (slice(None),) * d
         if g.mirror:
             coeff[lead + (0,)] *= 1 - g.mirror[d]
         diag += (coeff[lead + (slice(0, n),)] + coeff[lead + (slice(1, n + 1),)]) / h**2
         data[lower] = data[upper] = -(coeff[lead + (slice(1, n),)] / h**2).reshape(-1)
-    diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * (u * u + eps**2) ** ((p - 2.0) / 2.0)
+    diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * _p_weights(u, p)
     data[diag_pos] = diag if diag_shift is None else diag - diag_shift
     return data
 
@@ -450,11 +451,27 @@ def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: Perturbati
 # ray geometry
 
 
-def default_seed(g: Grid, potential) -> Field:
-    """Centered Gaussian bump exp(-|x|^2), unit weighted-Sobolev norm."""
-    vals = np.exp(-g.radius_squared()).reshape(-1)
-    vvals = potential.evaluate(g).values
-    return Field(grid=g, values=vals / _h1v_raw(g, vvals, vals))
+def structured_seed(g: Grid, j: int, potential) -> Field:
+    """j-th seed profile: Hermite polynomial of degree j-1 along the first
+    axis times a Gaussian envelope, so the seed has j-1 sign changes.
+
+    Normalized to unit weighted-Sobolev norm.  Raises for j >= n/2 (n the
+    points per axis across the box), where the oscillations are no longer
+    resolved.  On a quotient grid it is the restriction of the full-grid
+    seed; only a seed whose parity matches the grid's mirror is meaningful.
+    """
+    if j < 1:
+        raise ValueError(f"seed index j={j} must be at least 1")
+    if j >= g.box_points / 2:
+        raise ValueError(
+            f"seed index j={j} under-resolved on {g.box_points} points per axis "
+            f"(need j < n/2)"
+        )
+    x1 = g.coordinate_arrays()[0]
+    coeffs = np.zeros(j)
+    coeffs[j - 1] = 1.0
+    vals = (herm.hermval(x1, coeffs) * np.exp(-g.radius_squared())).reshape(-1)
+    return Field(grid=g, values=vals / _h1v_raw(g, potential.evaluate(g).values, vals))
 
 
 def _ray_peak_factor(parts, params: PerturbationParams) -> float:
@@ -806,9 +823,9 @@ def mountain_pass(
 ) -> MountainPassResult:
     """Mountain-pass search for a critical point at fixed lam.
 
-    Descends from u0 = t* e, the peak of the ray through the seed e
-    (``default_seed`` unless given); ``path_max`` = I_lam(u0) is the exact
-    maximum over the path t -> t e from 0.  Raises ValueError for a zero
+    Descends from u0 = t* e, the peak of the ray through the seed e (the
+    Gaussian ``structured_seed(g, 1, potential)`` unless given); ``path_max``
+    = I_lam(u0) is the exact maximum over the path t -> t e from 0.  Raises ValueError for a zero
     seed and GeometryFailure if I_lam(2^60 e) >= 0: the ray profile crosses
     zero once, so then no point of the ray up to 2^60 e is negative.
     ``deflation`` and ``step_lu`` are passed on to ``descend``.
@@ -816,7 +833,7 @@ def mountain_pass(
     validate_potential(g, potential)
     if params.lam <= 0.0:
         raise ValueError("mountain pass requires lam > 0 (use continue_to_limit for lam -> 0)")
-    e = (seed if seed is not None else default_seed(g, potential)).values
+    e = (seed if seed is not None else structured_seed(g, 1, potential)).values
     if not float(np.abs(e).max()) > 0.0:
         raise ValueError("seed profile is identically zero")
     vvals = potential.evaluate(g).values
@@ -835,14 +852,10 @@ def mountain_pass(
 
 def _stage_record(g, u: np.ndarray, params, res: DescentResult, parts) -> LambdaRecord:
     """The LambdaRecord of a stage whose descent ``res`` converged to u,
-    given the energy parts of u; its raw residual is that of the gradient
-    the descent kept."""
+    given the energy parts of u at its lam, whose p-terms give lambda_w1p_p;
+    its raw residual is that of the gradient the descent kept."""
     raw = res.gradient
     vol = g.weight
-    if params.lam > 0.0:
-        w1p_p = params.lam * norm_w1p(g, Field(grid=g, values=u), params.p) ** params.p
-    else:
-        w1p_p = 0.0
     return LambdaRecord(
         lam=params.lam,
         energy=parts.total,
@@ -850,7 +863,7 @@ def _stage_record(g, u: np.ndarray, params, res: DescentResult, parts) -> Lambda
         resid_raw=float(np.sqrt(vol * float(raw @ raw))),
         iterations=res.iterations,
         mass=parts.mass,
-        lambda_w1p_p=w1p_p,
+        lambda_w1p_p=params.lam * (parts.p_grad + parts.p_mass),
         linf=float(np.abs(u).max()),
     )
 

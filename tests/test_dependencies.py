@@ -88,3 +88,18 @@ def test_every_exported_name_resolves():
         module = importlib.import_module("lse" if path.stem == "__init__" else f"lse.{path.stem}")
         missing += [f"{module.__name__}.{name}" for name in module.__all__ if not hasattr(module, name)]
     assert lse.__all__ and not missing, missing
+
+
+def test_only_energy_knows_the_perturbation_term():
+    # the p-terms' eps and the unregularized W^{1,p} norm they are tested
+    # against have one home (ROADMAP item 6)
+    readers, definers = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "_GRAD_REG_EPS":
+                readers.add(path.name)
+            elif isinstance(node, ast.alias) and node.name == "_GRAD_REG_EPS":
+                readers.add(path.name)
+            elif isinstance(node, ast.FunctionDef) and node.name == "norm_w1p":
+                definers.add(path.name)
+    assert readers == {"energy.py"} and definers == {"energy.py"}, (readers, definers)

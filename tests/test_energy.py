@@ -22,10 +22,11 @@ from lse.energy import (
     energy_total,
     log_density,
     log_nonlin,
+    norm_w1p,
     residual_original,
     validate_potential,
 )
-from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v, norm_w1p, quotient_grid, unfold
+from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v, quotient_grid, unfold
 
 from conftest import BATCH_GRIDS, batch_fields, batch_grid, gausson_field, random_field
 

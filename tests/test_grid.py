@@ -17,11 +17,10 @@ from lse.grid import (
     make_grid,
     neg_laplacian_apply,
     norm_h1v,
-    norm_w1p,
     quotient_grid,
     unfold,
 )
-from lse.energy import Tabulated
+from lse.energy import Tabulated, norm_w1p
 
 from conftest import BATCH_GRIDS, batch_fields, batch_grid, random_field
 

@@ -41,3 +41,19 @@ def test_artifact_digest_prints_one_line_per_config():
     assert match
     energies = [float(e) for e in match.group(1).split(",")]
     assert len(energies) == 4 and all(e > 0.0 for e in energies)
+
+
+def test_multiplicity_scan_prints_one_line_per_case():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "multiplicity_scan.py"), "--dims", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the 16 1d cases (12 on n = 254, 4 on n = 255) each find their k
+    # solutions, printed as sorted positive energies
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 16
+    for line in lines:
+        match = re.fullmatch(r"dim=1 n=25[45] V=\S+ p=1\.[39] k=([35]): (\S+)", line)
+        assert match, line
+        energies = [float(e) for e in match.group(2).split(",")]
+        assert len(energies) == int(match.group(1)) and energies == sorted(energies) and energies[0] > 0.0

@@ -13,10 +13,12 @@ from lse.energy import (
     PerturbationParams,
     Shifted,
     _gradient_raw,
+    _parts_raw,
     el_gradient,
     energy_total,
+    norm_w1p,
 )
-from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, norm_w1p, quotient_grid
+from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, quotient_grid
 from lse.multiplicity import structured_seed
 from lse.solver import (
     CollapseError,
@@ -28,7 +30,6 @@ from lse.solver import (
     SolverError,
     check_geometry,
     continue_to_limit,
-    default_seed,
     descend,
     mountain_pass,
 )
@@ -243,14 +244,15 @@ class TestStepOperators:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
     @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0])
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
-    def test_assembly_is_bit_equal_to_the_coo_reference(self, dim, n, lam):
+    def test_assembly_is_bit_equal_to_the_coo_reference(self, dim, n, lam, p):
         g = make_grid(dim, 3.0, n)
         vvals = V_HARMONIC.evaluate(g).values
         u = 3.0 * np.random.default_rng(dim).standard_normal(g.npoints)
         u[::5] = 0.0  # log-term curvature at its 1e-300 floor
-        params = PerturbationParams(lam=lam, p=1.5)
+        params = PerturbationParams(lam=lam, p=p)
         want = _coo_linearized_matrix(g, vvals, u, params)
         _assert_bit_equal(_matrix(g, solver_mod._linearized_matrix(g, vvals, u, params)), want)
         _assert_bit_equal(
@@ -375,7 +377,7 @@ class TestRayPeak:
 
 class TestSeedAndGeometry:
     def test_default_seed_unit_norm(self, grid1d):
-        e = default_seed(grid1d, V_HARMONIC)
+        e = structured_seed(grid1d, 1, V_HARMONIC)
         assert norm_h1v(grid1d, V_HARMONIC, e) == pytest.approx(1.0, rel=1e-12)
 
     def test_geometry_positive_at_small_radius(self, grid_mid):
@@ -678,7 +680,7 @@ class TestMountainPass:
         assert mp_result.path_max >= level > 0.0
 
     def test_negated_seed_gives_negated_solution(self, grid_mid, mp_result):
-        e = default_seed(grid_mid, V_SHIFTED)
+        e = structured_seed(grid_mid, 1, V_SHIFTED)
         neg = Field(grid=grid_mid, values=-e.values)
         flipped = mountain_pass(
             grid_mid,
@@ -794,6 +796,18 @@ class TestContinueToLimit:
         for rec, field in zip(report.records, report.trajectory, strict=True):
             raw = _gradient_raw(grid_mid, vvals, field.values, PerturbationParams(lam=rec.lam, p=1.5))
             assert rec.resid_raw == float(np.sqrt(grid_mid.weight * float(raw @ raw)))
+
+    def test_perturbation_column_is_the_stage_p_terms(self, ground_run, grid_mid):
+        # lambda_w1p_p is lam times the regularized p-terms of each stage
+        # field's energy parts at its lam, and within 1e-9 of lam times the
+        # unregularized ||u||^p
+        _, report = ground_run
+        vvals = V_HARMONIC.evaluate(grid_mid).values
+        assert report.records[-1].lam == 0.0 and report.records[-1].lambda_w1p_p == 0.0
+        for rec, field in zip(report.records[:-1], report.trajectory[:-1], strict=True):
+            parts = _parts_raw(grid_mid, vvals, field.values, PerturbationParams(lam=rec.lam, p=1.5))
+            assert rec.lam > 0.0 and rec.lambda_w1p_p == rec.lam * (parts.p_grad + parts.p_mass)
+            assert rec.lambda_w1p_p == pytest.approx(rec.lam * norm_w1p(grid_mid, field, 1.5) ** 1.5, rel=1e-9)
 
     def test_final_field_close_to_gausson(self, ground_run, grid_mid):
         u, _ = ground_run
