@@ -91,6 +91,16 @@ def log_density(t):
 # potentials
 
 
+def _sampled(cache: dict, g: Grid, values) -> Field:
+    """The Field of ``values()`` on g, computed on the first call for g."""
+    if g not in cache:
+        vals = values().reshape(-1)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"potential not finite on the grid ({g.dim}d n={g.points_per_dim} L={g.half_width!r})")
+        cache[g] = Field(grid=g, values=vals)
+    return cache[g]
+
+
 @dataclass(eq=False)
 class Harmonic:
     """V(x) = a |x|^2 with a > 0."""
@@ -99,9 +109,7 @@ class Harmonic:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, g: Grid) -> Field:
-        if g not in self._cache:
-            self._cache[g] = Field(grid=g, values=(self.a * g.radius_squared()).reshape(-1))
-        return self._cache[g]
+        return _sampled(self._cache, g, lambda: self.a * g.radius_squared())
 
 
 @dataclass(eq=False)
@@ -112,9 +120,7 @@ class Quartic:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, g: Grid) -> Field:
-        if g not in self._cache:
-            self._cache[g] = Field(grid=g, values=(self.c * g.radius_squared() ** 2).reshape(-1))
-        return self._cache[g]
+        return _sampled(self._cache, g, lambda: self.c * g.radius_squared() ** 2)
 
 
 @dataclass(eq=False)
@@ -126,10 +132,7 @@ class Shifted:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, g: Grid) -> Field:
-        if g not in self._cache:
-            vals = self.base.evaluate(g).values + self.shift
-            self._cache[g] = Field(grid=g, values=vals)
-        return self._cache[g]
+        return _sampled(self._cache, g, lambda: self.base.evaluate(g).values + self.shift)
 
 
 @dataclass(eq=False)
@@ -156,15 +159,12 @@ class Tabulated:
 
 
 def validate_potential(g: Grid, potential) -> float:
-    """Evaluate V on the grid and return V0 = min V; errors if V0 <= 0."""
-    vals = potential.evaluate(g).values
-    v0 = float(vals.min())
+    """Evaluate V on the grid and return V0 = min V; errors if V0 <= 0 (with
+    a hint when a grid point sits at the origin) or V is not finite."""
+    v0 = float(potential.evaluate(g).values.min())
     if v0 <= 0.0:
-        raise ValueError(
-            f"potential not positive on the grid: min V = {v0} "
-            "(an odd point count puts the origin on the grid; use an even count "
-            "or shift the potential)"
-        )
+        hint = " (an odd point count puts the origin on the grid; use an even count or shift the potential)"
+        raise ValueError(f"potential not positive on the grid: min V = {v0}{hint if 0.0 in g.axis_coords() else ''}")
     return v0
 
 

@@ -12,11 +12,14 @@ A *quotient* grid (``mirror`` nonempty) stores only the orthant x > 0 of a
 full grid with an even ``n``: ``n / 2`` points per axis at ``h * (j + 1/2)``,
 bit for bit the upper half of the full coordinates.  The face x_d = 0 is a
 mirror of parity ``mirror[d]`` (+1 even, -1 odd), across which ``unfold``
-continues the field.  Every kernel below acts on a quotient field exactly
-as on its unfolded field: the mirror edge of the gradient is ``0`` (even)
-or ``2 u / h`` (odd), an edge sum counts the mirror edge at half weight (the
-full grid shares it between the two halves), and a point integral weighs
-each point by ``Grid.weight`` = 2^dim h^dim.
+continues the field; ``fold``, its inverse, decides whether a full grid
+folds for an array and gives the array's share.  This module alone knows
+how a quotient grid relates to its full grid.  Every kernel below acts on a
+quotient field exactly as on its unfolded field: the mirror edge of the
+gradient is ``Grid.first_edge`` times u / h, ``0`` (even) or ``2 u / h``
+(odd), an edge sum counts the mirror edge at half weight (the full grid
+shares it between the two halves), and a point integral weighs each point
+by ``Grid.weight`` = 2^dim h^dim.
 
 Differential operators follow a summation-by-parts pairing:
 
@@ -50,6 +53,7 @@ __all__ = [
     "Field",
     "make_grid",
     "quotient_grid",
+    "fold",
     "unfold",
     "forward_gradient",
     "neg_laplacian_apply",
@@ -90,6 +94,17 @@ class Grid:
         """Quadrature weight of one stored point: h^dim, times the 2^dim
         mirror images of a quotient point."""
         return (2 ** len(self.mirror)) * self.spacing**self.dim
+
+    @functools.cached_property
+    def first_edge(self) -> tuple[int, ...]:
+        """Per axis, the factor of u in the difference on its first edge:
+        1 against the zero exterior, 1 - parity against a mirror."""
+        return tuple(1 - parity for parity in self.mirror) or (1,) * self.dim
+
+    @property
+    def folds(self) -> bool:
+        """Whether the grid has quotient grids: a full grid of even n."""
+        return not self.mirror and self.points_per_dim % 2 == 0
 
     def axis_coords(self) -> np.ndarray:
         """Stored coordinates along one axis (all axes are identical)."""
@@ -167,12 +182,23 @@ def make_grid(dim: int, half_width: float, points_per_dim: int) -> Grid:
 def quotient_grid(g: Grid, mirror: tuple[int, ...]) -> Grid:
     """The orthant x > 0 of the full grid g (even point count) with a mirror
     face of parity ``mirror[d]`` (+1 even, -1 odd) at x_d = 0."""
-    if g.mirror or g.points_per_dim % 2 or len(mirror) != g.dim or not set(mirror) <= {1, -1}:
+    if not g.folds or len(mirror) != g.dim or not set(mirror) <= {1, -1}:
         raise ValueError(
             f"no quotient with mirror={mirror} of {g.dim}d n={g.points_per_dim} mirror={g.mirror}: "
             "needs a full grid, an even n and a parity of +1 or -1 per axis"
         )
     return replace(g, points_per_dim=g.points_per_dim // 2, mirror=tuple(mirror))
+
+
+def fold(g: Grid, values: np.ndarray, parity: tuple[int, ...]) -> np.ndarray | None:
+    """The share of the flat full-grid array ``values`` on every quotient
+    grid of g, its orthant x > 0, if g folds and values is its own mirror
+    image times ``parity[d]`` on every axis d, bit for bit; None otherwise.
+    ``unfold`` onto a quotient grid of mirror ``parity`` gives values back."""
+    nd = values.reshape(g.shape)
+    if not g.folds or not all(np.array_equal(nd, s * np.flip(nd, axis=d)) for d, s in enumerate(parity)):
+        return None
+    return nd[(slice(g.points_per_dim // 2, None),) * g.dim].reshape(-1)
 
 
 def unfold(g: Grid, u: np.ndarray) -> Field:
@@ -200,10 +226,7 @@ def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
         axis = nd.ndim - g.dim + d
         lead = (slice(None),) * axis
         c = np.empty(nd.shape[:axis] + (nd.shape[axis] + 1,) + nd.shape[axis + 1:])
-        if g.mirror:  # u minus its mirror image parity * u
-            c[lead + (0,)] = (1 - g.mirror[d]) * nd[lead + (0,)]
-        else:  # u minus the zero exterior
-            c[lead + (0,)] = nd[lead + (0,)]
+        c[lead + (0,)] = g.first_edge[d] * nd[lead + (0,)]
         np.subtract(nd[lead + (slice(1, None),)], nd[lead + (slice(None, -1),)], out=c[lead + (slice(1, -1),)])
         # as differencing the zero-padded array: 0 - u keeps a +0.0 edge +0.0
         np.subtract(0.0, nd[lead + (slice(-1, None),)], out=c[lead + (slice(-1, None),)])

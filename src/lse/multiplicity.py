@@ -9,13 +9,14 @@ pushing iterates into fresh basins.  One sign of each stored solution
 suffices, since the span of u_i is that of -u_i.  Solutions closer than
 ``_SEPARATION`` in the weighted Sobolev norm, modulo sign, count as one.
 
-Each seed has a definite parity on every axis.  When the potential is
-mirror-symmetric (and the point count even), the seed is solved on the
-quotient grid of its parity sector, a 1/2^dim orthant of the box, and
-deflated only against solutions of the same sector; critical points of the
-energy restricted to a sector are critical points of the full energy
-(Palais's principle of symmetric criticality), so the accepted solution is
-unfolded to the full grid.  Otherwise every seed runs on the full grid.
+Each seed has a definite parity on every axis.  When the grid folds for
+the potential (``lse.grid.fold`` decides, and gives V's share), the seed is
+solved on the quotient grid of its parity sector, a 1/2^dim orthant of the
+box, and deflated only against solutions of the same sector; critical
+points of the energy restricted to a sector are critical points of the full
+energy (Palais's principle of symmetric criticality), so the accepted
+solution is unfolded to the full grid.  Otherwise every seed runs on the
+full grid.
 
 Finding k distinct fields this way is evidence for multiplicity, not a
 proof; deflation is a computational surrogate for a topological minimax
@@ -26,10 +27,8 @@ from __future__ import annotations
 
 import logging
 
-import numpy as np
-
 from .energy import PerturbationParams, Tabulated
-from .grid import Field, Grid, _h1v_raw, quotient_grid, unfold
+from .grid import Field, Grid, _h1v_raw, fold, quotient_grid, unfold
 from .solver import (
     CollapseError,
     ContinuationSchedule,
@@ -62,24 +61,23 @@ def find_k_solutions(
 ) -> list[tuple[Field, float, SolveReport]]:
     """Collect up to k distinct solutions of the lam -> 0 limit problem.
 
-    Seeds j = 1, 2, ... are tried in order (up to 3k attempts).  When n is
-    even and V equals its mirror image on every axis, bit for bit, seed j
-    runs on the quotient grid of its sector, axis-0 parity (-1)^(j-1) and
-    even on every other axis, with V restricted to it; otherwise on the
-    full grid.  Each attempt deflates against the lam-matched continuation
-    trajectories of everything accepted so far in its sector: stage i of a
-    new run holds stage i of the old ones in its saddle-free span (one sign
-    each), which repels it from them.  Candidates whose unfolded
-    field is closer than ``_SEPARATION`` to +-(an accepted solution) are
-    rejected as duplicates.  Returns the accepted full-grid fields with
+    Seeds j = 1, 2, ... are tried in order (up to 3k attempts).  When g
+    folds for V (``fold``: an even n and V its own mirror image on every
+    axis, bit for bit), seed j runs on the quotient grid of its sector,
+    axis-0 parity (-1)^(j-1) and even on every other axis, with V's share
+    on it; otherwise on the full grid.  Each attempt deflates against the
+    lam-matched continuation trajectories of everything accepted so far in
+    its sector: stage i of a new run holds stage i of the old ones in its
+    saddle-free span (one sign each), which repels it from them.
+    Candidates whose unfolded field is closer than ``_SEPARATION`` to
+    +-(an accepted solution) are rejected as duplicates.  Returns the accepted full-grid fields with
     their energies and the reports of ``continue_to_limit``, sorted by
     energy; a shortfall is logged, not raised.
     """
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     vv = potential.evaluate(g).values
-    nd = vv.reshape(g.shape)
-    folds = g.points_per_dim % 2 == 0 and all(np.array_equal(nd, np.flip(nd, axis=d)) for d in range(g.dim))
+    share = fold(g, vv, (1,) * g.dim)  # V on every sector's quotient grid, None unless g folds for V
     # parity sector -> (grid, potential, preconditioner, accepted trajectories)
     sectors: dict[tuple[int, ...], tuple] = {}
     accepted: list[tuple[Field, float, SolveReport]] = []
@@ -87,12 +85,12 @@ def find_k_solutions(
     for attempt in range(1, 3 * k + 1):
         if len(accepted) >= k:
             break
-        key = ((-1) ** (attempt - 1),) + (1,) * (g.dim - 1) if folds else ()
+        key = ((-1) ** (attempt - 1),) + (1,) * (g.dim - 1) if share is not None else ()
         if key not in sectors:
             sg, sv = g, potential
             if key:
                 sg = quotient_grid(g, key)
-                sv = Tabulated(values=Field(grid=sg, values=nd[(slice(sg.points_per_dim, None),) * g.dim]))
+                sv = Tabulated(values=Field(grid=sg, values=share))
             sectors[key] = (sg, sv, Preconditioner(sg, sv), [])
         sg, sv, precond, trajectories = sectors[key]
         try:

@@ -28,10 +28,11 @@ otherwise, chosen by one size rule, ``_step_factorization``; the fixed
 operator is always factored by SuperLU.
 
 Every function here works on a full grid and on a quotient grid of one
-parity sector alike (see :mod:`lse.grid`): the kernels carry the mirror
-faces, and the operators add the mirror edge to their face diagonals.  A
-quotient grid is factored in every dimension, and its iterates stay in
-their sector exactly, since the sector is the space they live in.
+parity sector alike, without telling them apart: :mod:`lse.grid` folds and
+unfolds, its kernels carry the mirror faces, and the operators weigh each
+axis's first edge on their face diagonals by the grid's ``first_edge``
+factor.  A quotient grid is factored in every dimension, and its iterates
+stay in their sector exactly, since the sector is the space they live in.
 
 Once that residual is at most ``_NEWTON_RESID``, every further step of
 the same loop is a ``_newton_polish`` step: damped Newton on the true
@@ -129,8 +130,7 @@ _SUBSPACE_MAX_INNER = 10
 # Most lam stages a ContinuationSchedule may have.  The paper's schedule
 # (1, 0.1, ..., 1e-4) has 5 and the longest run anywhere in the project has
 # 13; a ratio near 1 with a tiny lambda_min (0.9999999 down to 1e-300 is
-# about 6.9e9 stages) could never finish and would exhaust memory in
-# ``lambdas``.
+# about 6.9e9 stages) could never finish, so ``lambdas`` stops past it.
 _MAX_STAGES = 100
 
 
@@ -167,19 +167,17 @@ class ContinuationSchedule:
             )
         if not 0.0 < self.lambda_min <= self.lambda_start:
             raise ValueError(f"lambda_min={self.lambda_min} out of (0, lambda_start]")
-        # the k >= 0 with lambda_start * ratio^k >= lambda_min, counted
-        # without building the list (``lambdas`` may differ by one in rounding)
-        stages = 1 + math.floor(math.log(self.lambda_min / self.lambda_start) / math.log(self.ratio))
-        if stages > _MAX_STAGES:
+        if len(self.lambdas()) > _MAX_STAGES:
             raise ValueError(
-                f"schedule of about {stages} stages exceeds the limit of {_MAX_STAGES} "
-                f"(ratio={self.ratio}, lambda_min={self.lambda_min})"
+                f"schedule of more than {_MAX_STAGES} stages (ratio={self.ratio}, lambda_min={self.lambda_min})"
             )
 
     def lambdas(self) -> list[float]:
+        """lambda_start * ratio^k while at least lambda_min (less 1e-9 of it,
+        for rounding); the list stops one past ``_MAX_STAGES``."""
         out = []
         lam = self.lambda_start
-        while lam >= self.lambda_min * (1.0 - 1e-9):
+        while lam >= self.lambda_min * (1.0 - 1e-9) and len(out) <= _MAX_STAGES:
             out.append(lam)
             lam *= self.ratio
         return out
@@ -414,9 +412,10 @@ def _linearized_matrix(
     term.  Without the latter, the |u|^(p-1) nonlinearity makes
     preconditioned descent oscillate around the nearly-sparse tail
     instead of settling on it.  Filled into
-    ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.  On
-    a quotient grid the mirror edge enters the face diagonal with 0 (even)
-    or 2 (odd) times its coefficient, as d(mirror edge)/du = (1 - parity)/h.
+    ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.  The
+    first edge of each axis enters the face diagonal with ``Grid.first_edge``
+    times its coefficient, as d(first edge)/du = first_edge / h: once
+    against the zero exterior, 0 (even) or 2 (odd) times against a mirror.
     """
     lam, p = params.lam, params.p
     n, h = g.points_per_dim, g.spacing
@@ -426,8 +425,7 @@ def _linearized_matrix(
     for d, (c, (lower, upper)) in enumerate(zip(_gradient_components(g, u.reshape(g.shape)), edges)):
         coeff = 1.0 + lam * _p_slope(c, p)
         lead = (slice(None),) * d
-        if g.mirror:
-            coeff[lead + (0,)] *= 1 - g.mirror[d]
+        coeff[lead + (0,)] *= g.first_edge[d]
         diag += (coeff[lead + (slice(0, n),)] + coeff[lead + (slice(1, n + 1),)]) / h**2
         data[lower] = data[upper] = -(coeff[lead + (slice(1, n),)] / h**2).reshape(-1)
     diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * _p_weights(u, p)

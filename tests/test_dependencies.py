@@ -103,3 +103,19 @@ def test_only_energy_knows_the_perturbation_term():
             elif isinstance(node, ast.FunctionDef) and node.name == "norm_w1p":
                 definers.add(path.name)
     assert readers == {"energy.py"} and definers == {"energy.py"}, (readers, definers)
+
+
+def test_only_grid_knows_the_quotient_layout():
+    # folding, the even-n rule and the mirror edge have one home
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "mirror":
+                readers.add(path.name)
+            elif (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.left, ast.Attribute) and node.left.attr == "points_per_dim"
+                and isinstance(node.right, ast.Constant) and node.right.value == 2
+            ):
+                readers.add(path.name)
+    assert readers == {"grid.py"}, readers

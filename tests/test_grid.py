@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from lse.grid import (
     _edge_integral,
     _gradient_components,
     _neg_div,
+    fold,
     forward_gradient,
     integrate,
     make_grid,
@@ -27,6 +30,54 @@ from conftest import BATCH_GRIDS, batch_fields, batch_grid, random_field
 
 def _ones_potential(g):
     return Tabulated(values=Field(grid=g, values=np.ones(g.npoints)))
+
+
+SECTORS = [mirror for dim in (1, 2, 3) for mirror in itertools.product((1, -1), repeat=dim)]
+
+
+class TestFold:
+    """``fold`` decides whether a full grid folds for an array and gives the
+    array's share on the quotient grids: the inverse of ``unfold``."""
+
+    @pytest.mark.parametrize("mirror", SECTORS, ids=str)
+    def test_fold_of_unfold_is_the_identity(self, mirror):
+        g = make_grid(len(mirror), 5.0, 8)
+        q = quotient_grid(g, mirror)
+        u = np.random.default_rng(len(mirror)).standard_normal(q.npoints)
+        u[0] = 0.0  # its unfolded image holds a -0.0 on an odd axis
+        assert fold(g, unfold(q, u).values, mirror).tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_share_is_the_upper_orthant(self, dim):
+        g = make_grid(dim, 6.0, 10)
+        v = 0.5 + 2.0 * g.radius_squared()
+        share = fold(g, v.reshape(-1), (1,) * dim)
+        assert share.tobytes() == np.ascontiguousarray(v[(slice(5, None),) * dim]).tobytes()
+        assert share.size == quotient_grid(g, (-1,) + (1,) * (dim - 1)).npoints
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_odd_n_does_not_fold(self, dim):
+        g = make_grid(dim, 6.0, 9)
+        assert np.array_equal(g.radius_squared(), np.flip(g.radius_squared()))
+        assert fold(g, g.radius_squared().reshape(-1), (1,) * dim) is None
+
+    def test_a_quotient_grid_does_not_fold_again(self):
+        q = quotient_grid(make_grid(2, 6.0, 8), (1, 1))
+        assert fold(q, q.radius_squared().reshape(-1), (1, 1)) is None
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_ulp_of_asymmetry_does_not_fold(self, dim):
+        g = make_grid(dim, 6.0, 8)
+        v = (0.5 + 2.0 * g.radius_squared()).reshape(-1)
+        assert fold(g, v, (1,) * dim) is not None
+        v[-1] = np.nextafter(v[-1], np.inf)
+        assert fold(g, v, (1,) * dim) is None
+
+    def test_an_array_of_the_other_parity_does_not_fold(self):
+        g = make_grid(2, 6.0, 8)
+        odd = unfold(quotient_grid(g, (-1, 1)), np.arange(1.0, 17.0)).values
+        assert fold(g, odd, (1, 1)) is None and fold(g, odd, (-1, -1)) is None
+        assert fold(g, odd, (-1, 1)) is not None
 
 
 class TestMakeGrid:
@@ -74,6 +125,12 @@ class TestMakeGrid:
             g = quotient_grid(g, mirror)  # no quotient of a quotient
         with pytest.raises(ValueError):
             quotient_grid(g, mirror)
+
+    @pytest.mark.parametrize("mirror", [(1,), (-1,), (1, -1), (-1, -1), (1, 1, -1), (-1, 1, 1)])
+    def test_first_edge_factor_per_axis(self, mirror):
+        g = make_grid(len(mirror), 4.0, 8)
+        assert g.first_edge == (1,) * g.dim
+        assert quotient_grid(g, mirror).first_edge == tuple(0 if m == 1 else 2 for m in mirror)
 
     @pytest.mark.parametrize("dim", [0, 4, -1])
     def test_dimension_out_of_range(self, dim):

@@ -20,6 +20,7 @@ from lse.io_cli import (
     run,
     write_field,
 )
+from lse.solver import ContinuationSchedule
 
 from conftest import random_field
 
@@ -102,9 +103,25 @@ class TestParseConfig:
             parse_config(config_text(lambda_start="0.5", lambda_min="0.9"))
 
     def test_overlong_schedule(self):
-        # about 6.9e9 stages: rejected before any list of them is built
+        # about 6.9e9 stages: rejected once the count passes the limit
         with pytest.raises(ConfigError, match="lambda_ratio.*stages"):
             parse_config(config_text(lambda_ratio="0.9999999", lambda_min="1e-300"))
+
+    def test_schedule_one_stage_past_the_limit(self, tmp_path, capsys):
+        # 101 stages, though 1 + floor(log(min / start) / log(ratio)) is 100
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(config_text(
+            lambda_start="0.6709537902789366", lambda_ratio="0.13291616045806876",
+            lambda_min="1.5292248459726906e-88",
+        ))
+        assert main(["solve", str(cfg), "--quiet"]) == 1
+        line = last_stderr_line(capsys)
+        assert line.startswith("FAIL config ") and "'lambda_ratio'" in line and "stages" in line
+
+    def test_schedule_of_exactly_the_stage_limit(self):
+        spec = parse_config(config_text(lambda_ratio="0.5", lambda_min=repr(0.5**99)))
+        sched = ContinuationSchedule(spec.lambda_start, spec.lambda_ratio, spec.lambda_min)
+        assert len(sched.lambdas()) == 100
 
     @pytest.mark.parametrize(
         "key,value",
@@ -343,7 +360,36 @@ class TestRun:
         # odd point count puts a lattice site at the origin where V vanishes
         spec = parse_config(config_text(output_dir=str(tmp_path / "o"), points=31))
         assert run(spec, quiet=True) == 1
-        assert last_stderr_line(capsys).startswith("FAIL config ")
+        line = last_stderr_line(capsys)
+        assert line.startswith("FAIL config potential not positive on the grid: min V = 0.0 ")
+        assert "puts the origin on the grid" in line
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"potential": "shifted:harmonic:2.0:-0.5"}, {"half_width": "1e-300"}],
+        ids=["negative", "underflow"],
+    )
+    def test_no_origin_hint_without_a_point_at_the_origin(self, tmp_path, capsys, overrides):
+        spec = parse_config(config_text(output_dir=str(tmp_path / "o"), points=32, **overrides))
+        assert run(spec, quiet=True) == 1
+        line = last_stderr_line(capsys)
+        assert line.startswith("FAIL config potential not positive on the grid: min V = ")
+        assert "origin" not in line
+
+    @pytest.mark.parametrize("potential, half_width", [("harmonic:2.0", "1e300"), ("quartic:1.0", "1e200")])
+    def test_fail_config_on_a_potential_not_finite_on_the_grid(self, tmp_path, capsys, potential, half_width):
+        spec = parse_config(config_text(output_dir=str(tmp_path / "o"), potential=potential, half_width=half_width))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(spec, quiet=True) == 1
+        assert last_stderr_line(capsys).startswith("FAIL config potential not finite on the grid ")
+
+    def test_fail_config_keeps_the_tabulated_grid_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "v.lsef"
+        g = make_grid(1, 8.0, 64)
+        write_field(str(path), g, Field(grid=g, values=1.0 + g.radius_squared().reshape(-1)))
+        spec = parse_config(config_text(output_dir=str(tmp_path / "o"), potential=f"tabulated:{path}"))
+        assert run(spec, quiet=True) == 1
+        assert last_stderr_line(capsys).startswith("FAIL config grid mismatch: tabulated potential sampled on ")
 
     @pytest.mark.parametrize("points, dim", [(97, 1), (195, 1), (9, 2), (5, 3)])
     def test_odd_points_put_the_origin_exactly_on_the_grid(self, tmp_path, capsys, points, dim):

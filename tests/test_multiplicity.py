@@ -280,6 +280,22 @@ class TestParitySectors:
         assert np.array_equal(odd, -np.flip(odd, axis=0))
         assert np.array_equal(odd, np.flip(odd, axis=1))
 
+    @pytest.mark.parametrize("dim, points", [(1, 32), (2, 12), (3, 8)])
+    def test_sector_potential_is_the_upper_orthant_of_v(self, monkeypatch, dim, points):
+        g = make_grid(dim, 5.0, points)
+        seen = []
+
+        def unsolved(sg, potential, *args, **kwargs):
+            seen.append((sg, potential.evaluate(sg).values.tobytes()))
+            raise solver_mod.ConvergenceFailure("not solved")
+
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", unsolved)
+        find_k_solutions(g, V_SHIFTED, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 1)
+        # every sector's V is V's upper orthant, whatever the sector's parity
+        upper = V_SHIFTED.evaluate(g).nd()[(slice(points // 2, None),) * dim].reshape(-1).tobytes()
+        assert [sg.mirror for sg, _ in seen] == [(1,) * dim, (-1,) + (1,) * (dim - 1), (1,) * dim]
+        assert all(values == upper for _, values in seen)
+
     @pytest.mark.parametrize("dim, points, asymmetric", [(1, 31, False), (1, 32, True), (3, 13, False)])
     def test_full_grid_without_mirror_symmetry(self, monkeypatch, dim, points, asymmetric):
         g = make_grid(dim, 6.0, points)

@@ -43,6 +43,51 @@ def test_artifact_digest_prints_one_line_per_config():
     assert len(energies) == 4 and all(e > 0.0 for e in energies)
 
 
+def test_artifact_digest_compares_two_saved_outputs(tmp_path):
+    sha = ["0" * 64, "1" * 64]
+    old = tmp_path / "old.txt"
+    old.write_text(
+        f"0 rc=0 sha256={sha[0]} energies=4.0,100.0\n"
+        f"1 rc=0 sha256={sha[0]} energies=2.0\n"
+        f"2 rc=1 sha256={sha[0]} energies= FAIL config potential not positive on the grid\n"
+    )
+    same = tmp_path / "same.txt"
+    same.write_text(
+        f"0 rc=0 sha256={sha[0]} energies=4.0,100.0\n"
+        f"1 rc=0 sha256={sha[1]} energies=2.0000000002\n"
+        f"2 rc=1 sha256={sha[0]} energies= FAIL config potential not positive on the grid\n"
+    )
+    moved = tmp_path / "moved.txt"
+    moved.write_text(
+        f"0 rc=1 sha256={sha[1]} energies=4.0\n"
+        f"1 rc=0 sha256={sha[0]} energies=2.0\n"
+        f"2 rc=1 sha256={sha[0]} energies= FAIL config potential not positive on the grid\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = str(ROOT / "scripts" / "artifact_digest.py")
+
+    def compare(new):
+        argv = [sys.executable, script, "--compare", str(old), str(new)]
+        return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+    proc = compare(same)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:4] == [
+        "configs compared: 3 (only in OLD: 0, only in NEW: 0)",
+        "byte-identical: 2",
+        "exit-code changes: none",
+        "energy-count changes: none",
+    ]
+    match = re.fullmatch(r"largest relative energy difference: (\S+) \(config 1\)", lines[4])
+    assert match and float(match.group(1)) == pytest.approx(1e-10)
+    proc = compare(moved)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[1:4] == [
+        "byte-identical: 2", "exit-code changes: 0: rc=0 -> rc=1", "energy-count changes: 0: 2 -> 1",
+    ]
+
+
 def test_multiplicity_scan_prints_one_line_per_case():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, str(ROOT / "scripts" / "multiplicity_scan.py"), "--dims", "1"]
