@@ -18,7 +18,6 @@ from .energy import (
     Tabulated,
     el_gradient,
     energy_parts,
-    energy_total,
     log_density,
     log_nonlin,
     norm_w1p,
@@ -28,10 +27,7 @@ from .energy import (
 from .grid import (
     Field,
     Grid,
-    forward_gradient,
-    integrate,
     make_grid,
-    neg_laplacian_apply,
     norm_h1v,
 )
 from .io_cli import (
@@ -106,16 +102,12 @@ __all__ = [
     "descend",
     "el_gradient",
     "energy_parts",
-    "energy_total",
     "find_k_solutions",
-    "forward_gradient",
-    "integrate",
     "log_density",
     "log_nonlin",
     "main",
     "make_grid",
     "mountain_pass",
-    "neg_laplacian_apply",
     "norm_h1v",
     "norm_w1p",
     "parse_config",

@@ -30,7 +30,9 @@ against.
 The raw kernels ``_parts_raw`` and ``_gradient_raw`` take one flat field or
 a (B, N) batch of them, and give each row the bytes of its call alone, so
 independent fields (the difference points of the solver's subspace
-Hessian, the trials of the gradient check) cost one call.
+Hessian, the trials of the gradient check) cost one call.  The point
+weights are not known here: every point integral is :mod:`lse.grid`'s
+``_integral`` and every edge sum its ``_edge_integral``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, _edge_integral, _gradient_components, _neg_div, _require_same_grid
+from .grid import Field, Grid, _edge_integral, _gradient_components, _integral, _neg_div, _require_same_grid
 
 __all__ = [
     "Harmonic",
@@ -52,7 +54,6 @@ __all__ = [
     "log_density",
     "validate_potential",
     "energy_parts",
-    "energy_total",
     "el_gradient",
     "residual_original",
     "norm_w1p",
@@ -94,7 +95,9 @@ def log_density(t):
 def _sampled(cache: dict, g: Grid, values) -> Field:
     """The Field of ``values()`` on g, computed on the first call for g."""
     if g not in cache:
-        vals = values().reshape(-1)
+        # an overflow on a huge box is reported by the check below, by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = values().reshape(-1)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"potential not finite on the grid ({g.dim}d n={g.points_per_dim} L={g.half_width!r})")
         cache[g] = Field(grid=g, values=vals)
@@ -231,28 +234,20 @@ def _p_slope(t: np.ndarray, p: float) -> np.ndarray:
     return _p_weights(t, p) * (1.0 + (p - 2.0) * t2 / (t2 + _GRAD_REG_EPS * _GRAD_REG_EPS))
 
 
-def _point_sum(values: np.ndarray):
-    """Sum over the points of a flat field (a float), or of each row of a
-    batch of shape (B, N) (an array of B values)."""
-    total = values.sum(axis=-1)
-    return total if values.ndim > 1 else float(total)
-
-
 def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> EnergyParts:
     """energy_parts on raw flat arrays (no Field validation); solver hot path.
     For a batch u of shape (B, N) every part is an array of B values, each
     bit-equal to the part of its row alone."""
-    vol = g.weight
     nd = u.reshape(u.shape[:-1] + g.shape)
     comps = _gradient_components(g, nd)
     grad_sq = _edge_integral(g, [c * c for c in comps])
-    v_mass = _point_sum(vvals * u * u) * vol
-    mass = _point_sum(u * u) * vol
-    log_int = _point_sum(log_density(u)) * vol
+    v_mass = _integral(g, vvals * u * u)
+    mass = _integral(g, u * u)
+    log_int = _integral(g, log_density(u))
     if params.lam > 0.0:
         p_grad = _edge_integral(g, [_p_weights(c, params.p) * c * c for c in comps])
         eps2 = _GRAD_REG_EPS * _GRAD_REG_EPS
-        p_mass = _point_sum((u * u + eps2) ** (params.p / 2.0) - eps2 ** (params.p / 2.0)) * vol
+        p_mass = _integral(g, (u * u + eps2) ** (params.p / 2.0) - eps2 ** (params.p / 2.0))
     else:
         p_grad = p_mass = 0.0
     return EnergyParts(
@@ -273,11 +268,6 @@ def energy_parts(g: Grid, potential, u: Field, params: PerturbationParams) -> En
     return _parts_raw(g, potential.evaluate(g).values, u.values, params)
 
 
-def energy_total(g: Grid, potential, u: Field, params: PerturbationParams) -> float:
-    """I_lam(u); exactly zero for u == 0 and even under u -> -u."""
-    return energy_parts(g, potential, u, params).total
-
-
 def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
     """el_gradient on raw flat arrays (no Field validation); solver hot path.
     A batch u of shape (B, N) gives the B gradients as rows."""
@@ -293,7 +283,7 @@ def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: Perturbatio
 
 
 def el_gradient(g: Grid, potential, u: Field, params: PerturbationParams) -> Field:
-    """Euler-Lagrange gradient G with integrate(G * phi) = <I_lam'(u), phi>.
+    """Euler-Lagrange gradient G with _inner(g, G, phi) = <I_lam'(u), phi>.
 
     G = lam * ( -div(w grad u) + w(u) u ) + ( -Lap u + V u - u log u^2 );
     the (V + 1) u term of the quadratic part and the +u from the derivative
@@ -314,5 +304,5 @@ def norm_w1p(g: Grid, u: Field, p: float) -> float:
     _require_same_grid(g, u)
     PerturbationParams(lam=0.0, p=p)  # the range check of p
     grad_part = _edge_integral(g, [np.abs(c) ** p for c in _gradient_components(g, u.nd())])
-    mass_part = float((np.abs(u.values) ** p).sum()) * g.weight
+    mass_part = _integral(g, np.abs(u.values) ** p)
     return float((grad_part + mass_part) ** (1.0 / p))

@@ -17,28 +17,36 @@ folds for an array and gives the array's share.  This module alone knows
 how a quotient grid relates to its full grid.  Every kernel below acts on a
 quotient field exactly as on its unfolded field: the mirror edge of the
 gradient is ``Grid.first_edge`` times u / h, ``0`` (even) or ``2 u / h``
-(odd), an edge sum counts the mirror edge at half weight (the full grid
-shares it between the two halves), and a point integral weighs each point
-by ``Grid.weight`` = 2^dim h^dim.
+(odd), and an edge sum counts the mirror edge at half weight (the full
+grid shares it between the two halves).
+
+Point weights have one home too: ``_integral`` (a point sum) and ``_inner``
+(a dot product) turn point values into integrals, and with
+``_edge_integral`` they are the only readers of ``Grid.weight``, which is
+h^dim per stored point, times its 2^dim mirror images on a quotient grid.
 
 Differential operators follow a summation-by-parts pairing:
 
-* ``forward_gradient`` returns, per axis, the ``n + 1`` forward-difference
-  edge values of each grid line, *including* the two boundary-adjacent
-  edges (difference against the zero exterior, or against the mirror).
-* ``neg_laplacian_apply`` is the negative divergence of that gradient,
-  which is the standard ``2*dim + 1`` point stencil.
+* ``_gradient_components`` returns, per axis, the ``n + 1``
+  forward-difference edge values of each grid line, *including* the two
+  boundary-adjacent edges (difference against the zero exterior, or
+  against the mirror).
+* ``_neg_div`` of that gradient is the negative Laplacian, the standard
+  ``2*dim + 1`` point stencil.
 
 With both boundary edges included the discrete identity
 
-    integrate(neg_laplacian_apply(u) * v) == h^dim * sum(grad u . grad v)
+    _inner(g, _neg_div(grad u), v) == _edge_integral(g, grad u * grad v)
 
 holds to machine precision, which the energy routines rely on.  Each of
 these quantities has one raw-array kernel here (``_gradient_components``,
-``_neg_div``, ``_edge_integral``, ``_grad_sq``, ``_h1v_raw``) that the
-Field-validated public functions and the solver's hot path share.  The
-first three also take batch axes ahead of the grid axes, one field per
-row, and give each row the bytes of its call alone.
+``_neg_div``, ``_edge_integral``, ``_integral``, ``_inner``, ``_grad_sq``,
+``_h1v_raw``) that the Field-validated ``norm_h1v``, the energy, the
+solver's hot path and the checks share.  The first four also take batch
+axes ahead of the grid axes (``_integral`` a leading (B, N) axis), one
+field per row, and give each row the bytes of its call alone; ``_inner``
+takes an (r, N) matrix as one BLAS matrix-vector product, whose rows agree
+with single calls to round-off.
 """
 
 from __future__ import annotations
@@ -55,9 +63,6 @@ __all__ = [
     "quotient_grid",
     "fold",
     "unfold",
-    "forward_gradient",
-    "neg_laplacian_apply",
-    "integrate",
     "norm_h1v",
 ]
 
@@ -235,17 +240,6 @@ def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def forward_gradient(g: Grid, u: Field) -> tuple[np.ndarray, ...]:
-    """Forward-difference gradient of u, boundary edges included.
-
-    Component d lives on the axis-d edges: its shape is the grid shape
-    except axis d, which has ``points_per_dim + 1`` entries (one per edge
-    of each grid line).
-    """
-    _require_same_grid(g, u)
-    return tuple(_gradient_components(g, u.nd()))
-
-
 def _neg_div(g: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
     """Negative divergence of per-axis edge fluxes, back on the points
     (batch axes ahead of the grid axes are kept)."""
@@ -253,19 +247,6 @@ def _neg_div(g: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
     for d, f in enumerate(fluxes):
         out -= np.diff(f, axis=d - g.dim) / g.spacing
     return out
-
-
-def neg_laplacian_apply(g: Grid, u: Field) -> Field:
-    """Apply the (2*dim+1)-point negative Laplacian with zero Dirichlet data."""
-    _require_same_grid(g, u)
-    return Field(grid=g, values=_neg_div(g, _gradient_components(g, u.nd())).reshape(-1))
-
-
-def integrate(g: Grid, u: Field) -> float:
-    """Quadrature weight * sum(values) over the stored points (on a quotient
-    grid, the integral over the box of the field's even extension)."""
-    _require_same_grid(g, u)
-    return float(g.weight * u.values.sum())
 
 
 def _edge_integral(g: Grid, per_axis):
@@ -284,6 +265,21 @@ def _edge_integral(g: Grid, per_axis):
     return total * g.weight if batch else float(total * g.weight)
 
 
+def _integral(g: Grid, values: np.ndarray):
+    """Integral of a flat point field: its point sum times the point weight.
+    A float for one field; a (B, N) batch gives an array of B values."""
+    total = values.sum(axis=-1) * g.weight
+    return total if values.ndim > 1 else float(total)
+
+
+def _inner(g: Grid, a: np.ndarray, b: np.ndarray):
+    """Inner product of flat point fields: np.dot(a, b) times the point
+    weight.  A float for two fields; an (r, N) matrix a gives r values, its
+    matrix-vector product, equal to single calls only to round-off."""
+    total = np.dot(a, b) * g.weight
+    return total if total.ndim else float(total)
+
+
 def _grad_sq(g: Grid, u: np.ndarray) -> float:
     """sum |grad u|^2 h^dim of a flat value array."""
     return _edge_integral(g, [c * c for c in _gradient_components(g, u.reshape(g.shape))])
@@ -291,7 +287,7 @@ def _grad_sq(g: Grid, u: np.ndarray) -> float:
 
 def _h1v_raw(g: Grid, vvals: np.ndarray, u: np.ndarray) -> float:
     """norm_h1v on raw flat arrays (no Field validation)."""
-    return float(np.sqrt(_grad_sq(g, u) + float((vvals * u * u).sum()) * g.weight))
+    return float(np.sqrt(_grad_sq(g, u) + _integral(g, vvals * u * u)))
 
 
 def norm_h1v(g: Grid, potential, u: Field) -> float:

@@ -82,7 +82,7 @@ from .energy import (
     _parts_raw,
     validate_potential,
 )
-from .grid import Field, Grid, _gradient_components, _h1v_raw
+from .grid import Field, Grid, _gradient_components, _h1v_raw, _inner, _integral
 
 __all__ = [
     "MountainPassConfig",
@@ -569,7 +569,6 @@ def _subspace_local_max(
         return _ray_peak_factor(parts, params) * u
     q, _ = np.linalg.qr(np.stack(cols, axis=1))
     r = q.shape[1]
-    vol = g.weight
     c = q.T @ u
     scale = float(np.sqrt(c @ c))
     delta = 1e-6 * (1.0 + scale)
@@ -578,12 +577,12 @@ def _subspace_local_max(
         # the gradient at v and at its r difference points, in one call
         grads = _gradient_raw(g, vvals, np.vstack((v, v + delta * q.T)), params)
         gv = grads[0]
-        gc = vol * (q.T @ gv)
+        gc = _inner(g, q.T, gv)
         if float(np.sqrt(gc @ gc)) <= tol:
             break
         hess = np.empty((r, r))
         for i in range(r):
-            hess[:, i] = vol * (q.T @ (grads[i + 1] - gv)) / delta
+            hess[:, i] = _inner(g, q.T, grads[i + 1] - gv) / delta
         try:
             w, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
         except np.linalg.LinAlgError:
@@ -736,7 +735,6 @@ def descend(
     vvals = potential.evaluate(g).values
     if precond is None:
         precond = Preconditioner(g, potential)
-    vol = g.weight
     u = np.array(u0.values)
     result = DescentResult(field=u0, iterations=0, residual=np.inf, converged=False)
     span = [s.values for s in deflation]
@@ -769,7 +767,7 @@ def descend(
             lu.factor(_linearized_matrix(g, vvals, u, params))
             result.factorizations += 1
             step = lu.solve(grad)
-            pair = vol * float(grad @ step)
+            pair = _inner(g, grad, step)
             alpha = 1.0
             for _ in range(_MAX_BACKTRACKS + 1):
                 cand = u - alpha * step
@@ -783,7 +781,7 @@ def descend(
             u = cand
             result.energy_steps.append((e0, e1))
         result.iterations += 1
-        if vol * float((u * u).sum()) < _MASS_FLOOR:
+        if _integral(g, u * u) < _MASS_FLOOR:
             result.collapsed = True
             break
     result.residual = resid
@@ -853,12 +851,11 @@ def _stage_record(g, u: np.ndarray, params, res: DescentResult, parts) -> Lambda
     given the energy parts of u at its lam, whose p-terms give lambda_w1p_p;
     its raw residual is that of the gradient the descent kept."""
     raw = res.gradient
-    vol = g.weight
     return LambdaRecord(
         lam=params.lam,
         energy=parts.total,
         resid_precond=res.residual,
-        resid_raw=float(np.sqrt(vol * float(raw @ raw))),
+        resid_raw=float(np.sqrt(_inner(g, raw, raw))),
         iterations=res.iterations,
         mass=parts.mass,
         lambda_w1p_p=params.lam * (parts.p_grad + parts.p_mass),
@@ -925,8 +922,7 @@ def continue_to_limit(
         lu.release()
 
     u = report.trajectory[-1].values
-    vol = g.weight
-    mass = vol * float((u * u).sum())
+    mass = _integral(g, u * u)
     if mass < 1e-6:
         raise CollapseError(f"trivial limit: mass integral {mass:.3e} below 1e-6 (run rejected)")
     lhs = parts.grad_sq + parts.v_mass

@@ -36,7 +36,7 @@ from .energy import (
     log_density,
     residual_original,
 )
-from .grid import Field, Grid, _grad_sq, _require_same_grid
+from .grid import Field, Grid, _grad_sq, _inner, _integral, _require_same_grid
 
 __all__ = [
     "CheckResult",
@@ -93,9 +93,8 @@ def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> Ch
     """
     _require_same_grid(g, u)
     vals = potential.evaluate(g).values
-    vol = g.weight
-    lhs = _grad_sq(g, u.values) + vol * float(np.dot(vals, u.values * u.values))
-    rhs = vol * float(log_density(u.values).sum())
+    lhs = _grad_sq(g, u.values) + _inner(g, vals, u.values * u.values)
+    rhs = _integral(g, log_density(u.values))
     margin = abs(lhs - rhs) / (1.0 + abs(lhs))
     return CheckResult(
         name="nehari",
@@ -123,8 +122,7 @@ def check_energy_identity(
     """
     parts = energy_parts(g, potential, u, params)
     grad = el_gradient(g, potential, u, params)
-    vol = g.weight
-    lhs = 2.0 * parts.total - vol * float(np.dot(grad.values, u.values))
+    lhs = 2.0 * parts.total - _inner(g, grad.values, u.values)
     rhs = (2.0 - params.p) / params.p * params.lam * (parts.p_grad + parts.p_mass) + parts.mass
     margin = abs(lhs - rhs) / (1.0 + abs(rhs))
     return CheckResult(
@@ -177,10 +175,10 @@ def check_log_sobolev(g: Grid, u: Field, a: float) -> CheckResult:
     if a <= 0.0:
         raise ValueError(f"log-Sobolev parameter a must be positive, got {a}")
     _require_same_grid(g, u)
-    mass = g.weight * float((u.values * u.values).sum())
+    mass = _integral(g, u.values * u.values)
     if mass <= 0.0:
         raise ValueError("log-Sobolev check requires a field with positive mass")
-    lhs = g.weight * float(log_density(u.values).sum())
+    lhs = _integral(g, log_density(u.values))
     rhs = (a * a / np.pi) * _grad_sq(g, u.values) + (np.log(mass) - g.dim * (1.0 + np.log(a))) * mass
     margin = float(rhs - lhs + 1e-8 * (1.0 + abs(lhs)))
     return CheckResult(
@@ -246,10 +244,9 @@ def _fd_defects(g: Grid, vvals: np.ndarray, params: PerturbationParams, trials: 
     energy call on the 2m shifted fields.  Where one trial's 2N values
     exceed the cap, each field goes to the kernels alone, unstacked.
     """
-    vol = g.weight
 
     def defect(grad, phi, e_plus, e_minus) -> float:
-        pair = vol * float(np.dot(grad, phi))
+        pair = _inner(g, grad, phi)
         quotient = float(e_plus - e_minus) / (2.0 * _FD_EPS)
         return abs(pair - quotient) / (1.0 + abs(quotient))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lse.grid import Field, make_grid, quotient_grid
+from lse.grid import Field, _gradient_components, _neg_div, make_grid, quotient_grid
 
 # Numerical kernels have wildly varying per-example cost; wall-clock deadlines
 # only produce flaky failures on loaded CI boxes.
@@ -32,6 +32,12 @@ def grid2d():
 
 def random_field(g, rng, scale=1.0):
     return Field(grid=g, values=scale * rng.standard_normal(g.npoints))
+
+
+def neg_laplacian(g, values):
+    """The (2*dim+1)-point negative Laplacian of a flat value array, as the
+    negative divergence of its edge gradient."""
+    return _neg_div(g, _gradient_components(g, values.reshape(g.shape))).reshape(-1)
 
 
 def gausson_field(g):

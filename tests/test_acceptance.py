@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lse.energy import Harmonic, PerturbationParams, energy_total
+from lse.energy import Harmonic, PerturbationParams, energy_parts
 from lse.grid import Field, make_grid, norm_h1v
 from lse.io_cli import main, read_field, write_field
 from lse.multiplicity import find_k_solutions
@@ -46,7 +46,7 @@ def limit_identity_bound(g, u) -> float:
 def energy_mass_defect(g, u) -> float:
     vol = g.spacing**g.dim
     mass = vol * float(np.dot(u.values, u.values))
-    return abs(energy_total(g, V, u, PerturbationParams(lam=0.0)) - 0.5 * mass)
+    return abs(energy_parts(g, V, u, PerturbationParams(lam=0.0)).total - 0.5 * mass)
 
 
 @pytest.fixture(scope="module")

@@ -119,3 +119,14 @@ def test_only_grid_knows_the_quotient_layout():
             ):
                 readers.add(path.name)
     assert readers == {"grid.py"}, readers
+
+
+def test_only_grid_weighs_points():
+    # point integrals and inner products have one home: lse.grid's
+    # _integral, _inner and _edge_integral
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "weight":
+                readers.add(path.name)
+    assert readers == {"grid.py"}, readers

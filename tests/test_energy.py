@@ -19,14 +19,13 @@ from lse.energy import (
     _parts_raw,
     el_gradient,
     energy_parts,
-    energy_total,
     log_density,
     log_nonlin,
     norm_w1p,
     residual_original,
     validate_potential,
 )
-from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v, quotient_grid, unfold
+from lse.grid import Field, _h1v_raw, _integral, make_grid, norm_h1v, quotient_grid, unfold
 
 from conftest import BATCH_GRIDS, batch_fields, batch_grid, gausson_field, random_field
 
@@ -158,29 +157,29 @@ class TestEnergyTotal:
     def test_zero_field_zero_energy(self, grid1d):
         z = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
         for lam in (0.0, 0.37, 1.0):
-            assert energy_total(grid1d, Harmonic(2.0), z, PerturbationParams(lam=lam)) == 0.0
+            assert energy_parts(grid1d, Harmonic(2.0), z, PerturbationParams(lam=lam)).total == 0.0
 
     def test_evenness_bit_for_bit(self, grid1d):
         u = random_field(grid1d, np.random.default_rng(5))
         neg = Field(grid=grid1d, values=-u.values)
         params = PerturbationParams(lam=0.7, p=1.3)
-        assert energy_total(grid1d, Harmonic(2.0), u, params) == energy_total(
+        assert energy_parts(grid1d, Harmonic(2.0), u, params).total == energy_parts(
             grid1d, Harmonic(2.0), neg, params
-        )
+        ).total
 
     def test_gausson_closed_form(self):
         # I(u*) = e^2/2 * sqrt(pi/2) for the 1D closed-form solution
         g = make_grid(1, 8.0, 1022)
         u = gausson_field(g)
-        val = energy_total(g, Harmonic(2.0), u, PerturbationParams(lam=0.0))
+        val = energy_parts(g, Harmonic(2.0), u, PerturbationParams(lam=0.0)).total
         assert val == pytest.approx(4.63036, abs=5e-3)
         assert val == pytest.approx(0.5 * np.e**2 * np.sqrt(np.pi / 2.0), abs=5e-3)
 
     def test_lambda_term_nonnegative_monotone(self, grid1d):
         u = random_field(grid1d, np.random.default_rng(1))
-        e0 = energy_total(grid1d, Harmonic(2.0), u, PerturbationParams(lam=0.0))
-        e1 = energy_total(grid1d, Harmonic(2.0), u, PerturbationParams(lam=0.5))
-        e2 = energy_total(grid1d, Harmonic(2.0), u, PerturbationParams(lam=1.0))
+        e0 = energy_parts(grid1d, Harmonic(2.0), u, PerturbationParams(lam=0.0)).total
+        e1 = energy_parts(grid1d, Harmonic(2.0), u, PerturbationParams(lam=0.5)).total
+        e2 = energy_parts(grid1d, Harmonic(2.0), u, PerturbationParams(lam=1.0)).total
         assert e0 <= e1 <= e2
 
 
@@ -194,9 +193,9 @@ class TestPathExpansion:
         params = PerturbationParams(lam=0.8, p=1.5)
         V = Harmonic(2.0)
         scaled = Field(grid=g, values=t * e.values)
-        lhs = energy_total(g, V, scaled, params)
-        m = integrate(g, Field(grid=g, values=e.values * e.values))
-        li = integrate(g, Field(grid=g, values=log_density(e.values)))
+        lhs = energy_parts(g, V, scaled, params).total
+        m = _integral(g, e.values * e.values)
+        li = _integral(g, log_density(e.values))
         rhs = (
             params.lam * t**params.p / params.p * norm_w1p(g, e, params.p) ** params.p
             + 0.5 * t * t * norm_h1v(g, V, e) ** 2
@@ -237,8 +236,8 @@ class TestElGradient:
             u = Field(grid=g, values=u_vals)
             grad = el_gradient(g, V, u, params)
             pair = vol * float(np.dot(grad.values, phi))
-            ep = energy_total(g, V, Field(grid=g, values=u_vals + eps * phi), params)
-            em = energy_total(g, V, Field(grid=g, values=u_vals - eps * phi), params)
+            ep = energy_parts(g, V, Field(grid=g, values=u_vals + eps * phi), params).total
+            em = energy_parts(g, V, Field(grid=g, values=u_vals - eps * phi), params).total
             quotient = (ep - em) / (2.0 * eps)
             assert abs(pair - quotient) / (1.0 + abs(quotient)) <= 1e-6
 
@@ -311,8 +310,8 @@ class TestQuotientKernels:
         assert close(_h1v_raw(q, vq, u), _h1v_raw(g, vf, full.values))
         assert close(norm_w1p(q, Field(grid=q, values=u), 1.3), norm_w1p(g, full, 1.3))
         # point integrals of integrands even in every axis, such as u^2
-        mass_q = integrate(q, Field(grid=q, values=u * u))
-        assert close(mass_q, integrate(g, Field(grid=g, values=full.values**2)))
+        mass_q = _integral(q, u * u)
+        assert close(mass_q, _integral(g, full.values**2))
         for lam in (0.0, 0.4):
             params = PerturbationParams(lam=lam, p=1.3)
             pq, pf = _parts_raw(q, vq, u, params), _parts_raw(g, vf, full.values, params)

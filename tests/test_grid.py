@@ -13,19 +13,19 @@ from lse.grid import (
     Field,
     _edge_integral,
     _gradient_components,
+    _inner,
+    _integral,
     _neg_div,
+    _require_same_grid,
     fold,
-    forward_gradient,
-    integrate,
     make_grid,
-    neg_laplacian_apply,
     norm_h1v,
     quotient_grid,
     unfold,
 )
 from lse.energy import Tabulated, norm_w1p
 
-from conftest import BATCH_GRIDS, batch_fields, batch_grid, random_field
+from conftest import BATCH_GRIDS, batch_fields, batch_grid, neg_laplacian, random_field
 
 
 def _ones_potential(g):
@@ -181,19 +181,17 @@ class TestField:
 class TestNegLaplacian:
     def test_unit_spike_1d(self):
         g = make_grid(1, 2.0, 3)  # h = 1
-        u = Field(grid=g, values=np.array([0.0, 1.0, 0.0]))
-        out = neg_laplacian_apply(g, u)
-        np.testing.assert_allclose(out.values, [-1.0, 2.0, -1.0], atol=1e-15)
+        out = neg_laplacian(g, np.array([0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(out, [-1.0, 2.0, -1.0], atol=1e-15)
 
     def test_zero_field(self, grid2d):
-        z = Field(grid=grid2d, values=np.zeros(grid2d.npoints))
-        assert np.all(neg_laplacian_apply(grid2d, z).values == 0.0)
+        assert np.all(neg_laplacian(grid2d, np.zeros(grid2d.npoints)) == 0.0)
 
     def test_center_spike_2d(self):
         g = make_grid(2, 2.0, 3)  # h = 1
         vals = np.zeros(9)
         vals[4] = 1.0  # center of the 3x3 block
-        out = neg_laplacian_apply(g, Field(grid=g, values=vals)).nd()
+        out = neg_laplacian(g, vals).reshape(g.shape)
         assert out[1, 1] == pytest.approx(4.0)
         for i, j in ((0, 1), (2, 1), (1, 0), (1, 2)):
             assert out[i, j] == pytest.approx(-1.0)
@@ -205,7 +203,7 @@ class TestNegLaplacian:
         g = make_grid(1, 8.0, 63)
         vals = np.zeros(63)
         vals[29:34] = [1.0, 2.0, 5.0, 2.0, 1.0]
-        out = neg_laplacian_apply(g, Field(grid=g, values=vals)).values
+        out = neg_laplacian(g, vals)
         h2 = g.spacing**2
         expect = np.zeros(63)
         for i in range(28, 35):
@@ -213,35 +211,33 @@ class TestNegLaplacian:
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_grid_mismatch(self, grid1d, grid2d):
+        # the check every Field-taking function runs before its kernels
         f = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
         with pytest.raises(ValueError):
-            neg_laplacian_apply(grid2d, f)
+            _require_same_grid(grid2d, f)
 
 
 class TestForwardGradient:
     def test_hand_enumerated_edges(self):
         g = make_grid(1, 1.0, 3)  # h = 0.5
-        u = Field(grid=g, values=np.array([0.0, 1.0, 0.0]))
-        (comp,) = forward_gradient(g, u)
+        (comp,) = _gradient_components(g, np.array([0.0, 1.0, 0.0]))
         # leading boundary edge, then the forward edge of each interior point
         np.testing.assert_allclose(comp, [0.0, 2.0, -2.0, 0.0], atol=1e-15)
 
     def test_zero_field(self, grid2d):
-        z = Field(grid=grid2d, values=np.zeros(grid2d.npoints))
-        for comp in forward_gradient(grid2d, z):
+        for comp in _gradient_components(grid2d, np.zeros(grid2d.shape)):
             assert np.all(comp == 0.0)
 
     def test_affine_data_constant_slope_on_interior_edges(self):
         g = make_grid(1, 4.0, 32)
         x = g.axis_coords()
-        u = Field(grid=g, values=3.0 * x + 1.0)
-        (comp,) = forward_gradient(g, u)
+        (comp,) = _gradient_components(g, 3.0 * x + 1.0)
         # interior-interior edges carry the exact slope
         np.testing.assert_allclose(comp[1:-1], 3.0, atol=1e-12)
 
     def test_component_count_and_length(self, grid2d):
         f = random_field(grid2d, np.random.default_rng(0))
-        grad = forward_gradient(grid2d, f)
+        grad = _gradient_components(grid2d, f.nd())
         n = grid2d.points_per_dim
         assert len(grad) == 2
         # each axis contributes n+1 edges per line, n lines
@@ -290,20 +286,37 @@ class TestBatchKernels:
             assert type(one_sq) is float and sq[i].tobytes() == np.float64(one_sq).tobytes()
             assert pw[i] == _edge_integral(g, [np.abs(c) ** 1.3 for c in single])
 
+    @pytest.mark.parametrize("dim, n, mirror", BATCH_GRIDS)
+    def test_point_integrals_of_rows(self, dim, n, mirror):
+        g = batch_grid(dim, n, mirror)
+        u = batch_fields(g)
+        sums = _integral(g, u * u)
+        assert sums.shape == (u.shape[0],)
+        for i, row in enumerate(u):
+            one = _integral(g, row * row)
+            assert type(one) is float and sums[i].tobytes() == np.float64(one).tobytes()
+        # an (r, N) matrix is one matrix-vector product, whose BLAS rows
+        # agree with single dot products to round-off, not bit for bit
+        dots = _inner(g, u, u[0])
+        assert dots.shape == (u.shape[0],)
+        for i, row in enumerate(u):
+            one = _inner(g, row, u[0])
+            assert type(one) is float and dots[i] == pytest.approx(one, rel=1e-14, abs=0.0)
+
 
 class TestIntegrate:
     def test_constant_1d(self):
         g = make_grid(1, 1.0, 3)  # h = 0.5
-        assert integrate(g, Field(grid=g, values=np.ones(3))) == pytest.approx(1.5)
+        assert _integral(g, np.ones(3)) == pytest.approx(1.5)
 
     def test_zero(self, grid2d):
-        assert integrate(grid2d, Field(grid=grid2d, values=np.zeros(grid2d.npoints))) == 0.0
+        assert _integral(grid2d, np.zeros(grid2d.npoints)) == 0.0
 
     def test_indicator_2d(self):
         g = make_grid(2, 2.0, 3)  # h = 1
         vals = np.zeros(9)
         vals[5] = 1.0
-        assert integrate(g, Field(grid=g, values=vals)) == pytest.approx(1.0)
+        assert _integral(g, vals) == pytest.approx(1.0)
 
     @given(
         a=st.floats(-3, 3),
@@ -315,9 +328,25 @@ class TestIntegrate:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(16)
         v = rng.standard_normal(16)
-        lhs = integrate(g, Field(grid=g, values=a * u + b * v))
-        rhs = a * integrate(g, Field(grid=g, values=u)) + b * integrate(g, Field(grid=g, values=v))
+        lhs = _integral(g, a * u + b * v)
+        rhs = a * _integral(g, u) + b * _integral(g, v)
         assert lhs == pytest.approx(rhs, abs=1e-13 * (1 + abs(rhs)))
+
+
+class TestQuotientQuadrature:
+    @pytest.mark.parametrize("mirror", SECTORS)
+    def test_quotient_integrals_are_full_grid_integrals(self, mirror):
+        # a product of two fields of one parity, and |u|, are even on every
+        # axis, so their quotient integrals are those of the unfolded fields
+        g = make_grid(len(mirror), 3.0, 8)
+        q = quotient_grid(g, mirror)
+        a, b = np.random.default_rng(len(mirror)).uniform(-2.0, 2.0, (2, q.npoints))
+        fa, fb = unfold(q, a).values, unfold(q, b).values
+        assert _integral(q, a * b) == pytest.approx(_integral(g, fa * fb), rel=1e-13)
+        assert _inner(q, a, b) == pytest.approx(_inner(g, fa, fb), rel=1e-13)
+        assert _integral(q, np.abs(a)) == pytest.approx(_integral(g, np.abs(fa)), rel=1e-13)
+        if set(mirror) == {1}:
+            assert _integral(q, a) == pytest.approx(_integral(g, fa), rel=1e-13)
 
 
 class TestSummationByParts:
@@ -331,9 +360,9 @@ class TestSummationByParts:
         u = random_field(g, rng)
         v = random_field(g, rng)
         vol = g.spacing**g.dim
-        lhs = vol * float(np.dot(neg_laplacian_apply(g, u).values, v.values))
-        gu = forward_gradient(g, u)
-        gv = forward_gradient(g, v)
+        lhs = vol * float(np.dot(neg_laplacian(g, u.values), v.values))
+        gu = _gradient_components(g, u.nd())
+        gv = _gradient_components(g, v.nd())
         rhs = vol * sum(float(np.vdot(a, b)) for a, b in zip(gu, gv))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from lse.io_cli import (
 from lse.solver import ContinuationSchedule
 
 from conftest import random_field
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def config_text(output_dir="out", **overrides) -> str:
@@ -268,6 +274,23 @@ def cli_run(tmp_path_factory):
     return {"cfg": cfg, "out": out}
 
 
+def test_a_tabulated_potential_solves_to_the_analytic_artifacts(tmp_path):
+    # V = 2|x|^2 read lazily from a field file, and folded into sectors, gives
+    # the bytes of the analytic harmonic:2.0 run
+    g = make_grid(2, 6.0, 24)
+    path = tmp_path / "v.lsef"
+    write_field(str(path), g, Harmonic(2.0).evaluate(g))
+    outs = []
+    for potential in ("harmonic:2.0", f"tabulated:{path}"):
+        out = tmp_path / f"out{len(outs)}"
+        cfg = tmp_path / f"run{len(outs)}.cfg"
+        cfg.write_text(config_text(output_dir=str(out), dim=2, half_width=6.0, points=24, k_solutions=2, potential=potential))
+        assert main(["solve", str(cfg), "--quiet"]) == 0
+        outs.append(out)
+    for name in ("u_1.lsef", "u_2.lsef", "diagnostics.csv", "checks.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
 def last_stderr_line(capsys) -> str:
     err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
     assert err, "expected stderr output"
@@ -379,9 +402,22 @@ class TestRun:
     @pytest.mark.parametrize("potential, half_width", [("harmonic:2.0", "1e300"), ("quartic:1.0", "1e200")])
     def test_fail_config_on_a_potential_not_finite_on_the_grid(self, tmp_path, capsys, potential, half_width):
         spec = parse_config(config_text(output_dir=str(tmp_path / "o"), potential=potential, half_width=half_width))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(spec, quiet=True) == 1
+        assert run(spec, quiet=True) == 1
         assert last_stderr_line(capsys).startswith("FAIL config potential not finite on the grid ")
+
+    @pytest.mark.parametrize("potential, half_width", [("harmonic:2.0", "1e300"), ("quartic:1.0", "1e200")])
+    def test_a_potential_not_finite_on_the_grid_prints_only_its_fail_line(self, tmp_path, potential, half_width):
+        # the ``lse`` entry point in a fresh interpreter, under numpy's
+        # default error state: the overflow is the FAIL line's, not a warning
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(output_dir=str(tmp_path / "o"), points=32, potential=potential, half_width=half_width))
+        code = "import sys; from lse.io_cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert re.fullmatch(r"FAIL config potential not finite on the grid \(1d n=32 L=1e\+[23]00\)\n", proc.stderr), proc.stderr
 
     def test_fail_config_keeps_the_tabulated_grid_mismatch(self, tmp_path, capsys):
         path = tmp_path / "v.lsef"

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 import lse.multiplicity as multiplicity_mod
 import lse.solver as solver_mod
 from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated
-from lse.grid import Field, _h1v_raw, integrate, make_grid, norm_h1v
+from lse.grid import Field, _h1v_raw, _integral, make_grid, norm_h1v
 from lse.multiplicity import find_k_solutions, structured_seed
 from lse.solver import ContinuationSchedule, MountainPassConfig, continue_to_limit
 
@@ -46,7 +46,7 @@ class TestStructuredSeed:
     def test_first_two_seeds_orthogonal_by_parity(self, gmid):
         s1 = structured_seed(gmid, 1, V_HARMONIC)
         s2 = structured_seed(gmid, 2, V_HARMONIC)
-        prod = integrate(gmid, Field(grid=gmid, values=s1.values * s2.values))
+        prod = _integral(gmid, s1.values * s2.values)
         assert abs(prod) <= 1e-12
 
     def test_sign_change_count_grows(self, gmid):

@@ -102,3 +102,22 @@ def test_multiplicity_scan_prints_one_line_per_case():
         assert match, line
         energies = [float(e) for e in match.group(2).split(",")]
         assert len(energies) == int(match.group(1)) and energies == sorted(energies) and energies[0] > 0.0
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "b.py").write_text(
+        '"""Module docstring\n\nover three lines."""\n\n'
+        "# a comment\nimport os  # a trailing comment counts\n\n\n"
+        "class A:\n    '''Class docstring.'''\n\n    def f(self):\n"
+        '        """One line."""\n        return """not a docstring"""\n'
+    )
+    (tmp_path / "a.py").write_text("x = 1\n")
+    argv = [sys.executable, str(ROOT / "scripts" / "code_lines.py"), "--src", str(tmp_path)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a 1\nb 4\ntotal 5\n"
+    # the package itself: one row per module, and their sum
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py")], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _ in rows[:-1]] == sorted(p.stem for p in (ROOT / "src" / "lse").glob("*.py"))
+    assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1]) > 0

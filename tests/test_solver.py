@@ -15,10 +15,10 @@ from lse.energy import (
     _gradient_raw,
     _parts_raw,
     el_gradient,
-    energy_total,
+    energy_parts,
     norm_w1p,
 )
-from lse.grid import Field, _gradient_components, make_grid, neg_laplacian_apply, norm_h1v, quotient_grid
+from lse.grid import Field, _gradient_components, make_grid, norm_h1v, quotient_grid
 from lse.multiplicity import structured_seed
 from lse.solver import (
     CollapseError,
@@ -34,7 +34,7 @@ from lse.solver import (
     mountain_pass,
 )
 
-from conftest import gausson_field, random_field
+from conftest import gausson_field, neg_laplacian, random_field
 
 V_HARMONIC = Harmonic(2.0)
 V_SHIFTED = Shifted(Harmonic(2.0), 1.0)
@@ -107,8 +107,7 @@ class TestPreconditioner:
         z = pre.solve(rhs)
         # forward-apply (-Lap + V + 1) and compare
         vvals = V_HARMONIC.evaluate(grid1d).values
-        zf = Field(grid=grid1d, values=z)
-        back = neg_laplacian_apply(grid1d, zf).values + (vvals + 1.0) * z
+        back = neg_laplacian(grid1d, z) + (vvals + 1.0) * z
         assert float(np.max(np.abs(back - rhs))) <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
 
 
@@ -219,7 +218,7 @@ class TestStepOperators:
         g, vvals, u = self.smooth_state(dim, n)
         v = np.random.default_rng(2).standard_normal(g.npoints)
         got = _matrix(g, solver_mod._linearized_matrix(g, vvals, u, PerturbationParams(lam=0.0))) @ v
-        want = neg_laplacian_apply(g, Field(grid=g, values=v)).values + (vvals + 1.0) * v
+        want = neg_laplacian(g, v) + (vvals + 1.0) * v
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * float(np.abs(want).max()))
 
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
@@ -427,8 +426,8 @@ class TestDescend:
         assert res.factorizations == res.iterations == 5
         near = descend(g, V_HARMONIC, Field(grid=g, values=np.exp(-2.0 * r2)), params, MountainPassConfig())
         assert near.converged and not near.energy_steps
-        energy = energy_total(g, V_HARMONIC, res.field, params)
-        assert energy == pytest.approx(energy_total(g, V_HARMONIC, near.field, params), rel=1e-12)
+        energy = energy_parts(g, V_HARMONIC, res.field, params).total
+        assert energy == pytest.approx(energy_parts(g, V_HARMONIC, near.field, params).total, rel=1e-12)
         assert energy == pytest.approx(4.5908266747, rel=1e-10)
 
     def test_zero_start_is_fixed_point(self, grid1d):
@@ -511,7 +510,7 @@ class TestNewtonFinish:
         assert owners == [solver_mod._BandedFactorization] * res.iterations
         assert len(iterates) == res.newton_steps
         # the energy that the Armijo descent alone reaches at this tolerance
-        energy = energy_total(g, V_HARMONIC, res.field, params)
+        energy = energy_parts(g, V_HARMONIC, res.field, params).total
         assert energy == pytest.approx(50.47089351278723, rel=1e-10)
 
     def test_accepted_newton_steps_lower_the_residual(self, setup2d, monkeypatch):
@@ -676,7 +675,7 @@ class TestMountainPass:
     def test_converges_with_positive_level(self, grid_mid, mp_result):
         assert mp_result.descent.converged
         assert mp_result.descent.residual <= 1e-6
-        level = energy_total(grid_mid, V_SHIFTED, mp_result.field, PerturbationParams(lam=1.0, p=1.5))
+        level = energy_parts(grid_mid, V_SHIFTED, mp_result.field, PerturbationParams(lam=1.0, p=1.5)).total
         assert mp_result.path_max >= level > 0.0
 
     def test_negated_seed_gives_negated_solution(self, grid_mid, mp_result):
@@ -690,8 +689,8 @@ class TestMountainPass:
             seed=neg,
         )
         params = PerturbationParams(lam=1.0, p=1.5)
-        level = energy_total(grid_mid, V_SHIFTED, mp_result.field, params)
-        assert energy_total(grid_mid, V_SHIFTED, flipped.field, params) == pytest.approx(level, rel=1e-10)
+        level = energy_parts(grid_mid, V_SHIFTED, mp_result.field, params).total
+        assert energy_parts(grid_mid, V_SHIFTED, flipped.field, params).total == pytest.approx(level, rel=1e-10)
         assert float(np.max(np.abs(flipped.field.values + mp_result.field.values))) <= 1e-9
 
     def test_zero_seed_rejected(self, grid1d):
@@ -733,7 +732,7 @@ class TestMountainPass:
         res, u0, _ = self.start_of_descent(monkeypatch, g, params)
 
         def energy(s):
-            return energy_total(g, V_SHIFTED, Field(grid=g, values=s * u0), params)
+            return energy_parts(g, V_SHIFTED, Field(grid=g, values=s * u0), params).total
 
         assert res.path_max == energy(1.0)
         assert all(res.path_max >= energy(s) for s in np.arange(1, 4001) / 1000.0)
