@@ -222,32 +222,34 @@ class EnergyParts:
         )
 
 
-def _p_weights(comp: np.ndarray, p: float) -> np.ndarray:
-    """The p-term weight w(t) = (t^2 + eps^2)^((p-2)/2) of each entry."""
-    return (comp * comp + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
+def _p_weights(t2: np.ndarray, p: float) -> np.ndarray:
+    """The p-term weight w(t) = (t^2 + eps^2)^((p-2)/2) of each entry, given
+    its square t2 = t * t."""
+    return (t2 + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
 
 
 def _p_slope(t: np.ndarray, p: float) -> np.ndarray:
     """d/dt (w(t) t) = w(t) (1 + (p-2) t^2 / (t^2 + eps^2)), in (0, w(t)], of
     each entry: the edge coefficient of the p-gradient term's Hessian."""
     t2 = t * t
-    return _p_weights(t, p) * (1.0 + (p - 2.0) * t2 / (t2 + _GRAD_REG_EPS * _GRAD_REG_EPS))
+    return _p_weights(t2, p) * (1.0 + (p - 2.0) * t2 / (t2 + _GRAD_REG_EPS * _GRAD_REG_EPS))
 
 
 def _parts_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> EnergyParts:
     """energy_parts on raw flat arrays (no Field validation); solver hot path.
     For a batch u of shape (B, N) every part is an array of B values, each
     bit-equal to the part of its row alone."""
-    nd = u.reshape(u.shape[:-1] + g.shape)
-    comps = _gradient_components(g, nd)
-    grad_sq = _edge_integral(g, [c * c for c in comps])
+    comps = _gradient_components(g, u.reshape(u.shape[:-1] + g.shape))
+    squares = [c * c for c in comps]
+    uu = u * u
+    grad_sq = _edge_integral(g, squares)
     v_mass = _integral(g, vvals * u * u)
-    mass = _integral(g, u * u)
+    mass = _integral(g, uu)
     log_int = _integral(g, log_density(u))
     if params.lam > 0.0:
-        p_grad = _edge_integral(g, [_p_weights(c, params.p) * c * c for c in comps])
+        p_grad = _edge_integral(g, [_p_weights(c2, params.p) * c * c for c, c2 in zip(comps, squares)])
         eps2 = _GRAD_REG_EPS * _GRAD_REG_EPS
-        p_mass = _integral(g, (u * u + eps2) ** (params.p / 2.0) - eps2 ** (params.p / 2.0))
+        p_mass = _integral(g, (uu + eps2) ** (params.p / 2.0) - eps2 ** (params.p / 2.0))
     else:
         p_grad = p_mass = 0.0
     return EnergyParts(
@@ -271,13 +273,12 @@ def energy_parts(g: Grid, potential, u: Field, params: PerturbationParams) -> En
 def _gradient_raw(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
     """el_gradient on raw flat arrays (no Field validation); solver hot path.
     A batch u of shape (B, N) gives the B gradients as rows."""
-    nd = u.reshape(u.shape[:-1] + g.shape)
-    comps = _gradient_components(g, nd)
+    comps = _gradient_components(g, u.reshape(u.shape[:-1] + g.shape))
     lap = _neg_div(g, comps).reshape(u.shape)
-    core = lap + vvals * u - np.asarray(log_nonlin(u))
+    core = lap + vvals * u - log_nonlin(u)
     if params.lam > 0.0:
-        fluxes = [_p_weights(c, params.p) * c for c in comps]
-        p_part = _neg_div(g, fluxes).reshape(u.shape) + _p_weights(u, params.p) * u
+        fluxes = [_p_weights(c * c, params.p) * c for c in comps]
+        p_part = _neg_div(g, fluxes).reshape(u.shape) + _p_weights(u * u, params.p) * u
         core = core + params.lam * p_part
     return core
 

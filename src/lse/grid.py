@@ -47,6 +47,12 @@ axes ahead of the grid axes (``_integral`` a leading (B, N) axis), one
 field per row, and give each row the bytes of its call alone; ``_inner``
 takes an (r, N) matrix as one BLAS matrix-vector product, whose rows agree
 with single calls to round-off.
+
+A solve calls these kernels thousands of times on grids small enough that
+numpy's per-call overhead outweighs the arithmetic, so they take their
+index tuples from ``_axis_plan``, cached per (ndim, axis), difference by
+slice subtraction and reduce with ``np.add.reduce``: the operations and
+their order, and so every byte, are those of ``np.diff`` and ``ndarray.sum``.
 """
 
 from __future__ import annotations
@@ -155,7 +161,7 @@ class Field:
                 f"field length mismatch: got {vals.size} values for a grid "
                 f"with {self.grid.npoints} interior points"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -222,19 +228,28 @@ def _require_same_grid(g: Grid, u: Field) -> None:
         )
 
 
+@functools.lru_cache(maxsize=16)  # ndim <= 4: a batch axis and three grid axes
+def _axis_plan(ndim: int, axis: int) -> tuple:
+    """Index tuples along ``axis`` of an ndim-array: its first entry, all
+    but the first, all but the last, the interior and its last entry."""
+    lead = (slice(None),) * axis
+    return lead + (0,), lead + (slice(1, None),), lead + (slice(None, -1),), lead + (slice(1, -1),), lead + (-1,)
+
+
 def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
     """Edge-difference components of an nd value array (zero exterior; the
     first edge of a quotient axis differences against the mirror point).
     Batch axes ahead of the grid axes are kept in every component."""
     comps = []
-    for d in range(g.dim):
-        axis = nd.ndim - g.dim + d
-        lead = (slice(None),) * axis
+    batch = nd.ndim - g.dim
+    for d, factor in enumerate(g.first_edge):
+        axis = batch + d
+        first, tail, head, inner, last = _axis_plan(nd.ndim, axis)
         c = np.empty(nd.shape[:axis] + (nd.shape[axis] + 1,) + nd.shape[axis + 1:])
-        c[lead + (0,)] = g.first_edge[d] * nd[lead + (0,)]
-        np.subtract(nd[lead + (slice(1, None),)], nd[lead + (slice(None, -1),)], out=c[lead + (slice(1, -1),)])
+        c[first] = factor * nd[first]
+        np.subtract(nd[tail], nd[head], out=c[inner])
         # as differencing the zero-padded array: 0 - u keeps a +0.0 edge +0.0
-        np.subtract(0.0, nd[lead + (slice(-1, None),)], out=c[lead + (slice(-1, None),)])
+        c[last] = 0.0 - nd[last]
         c /= g.spacing
         comps.append(c)
     return comps
@@ -243,9 +258,13 @@ def _gradient_components(g: Grid, nd: np.ndarray) -> list[np.ndarray]:
 def _neg_div(g: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
     """Negative divergence of per-axis edge fluxes, back on the points
     (batch axes ahead of the grid axes are kept)."""
-    out = np.zeros(fluxes[0].shape[: fluxes[0].ndim - g.dim] + g.shape)
+    out = None
     for d, f in enumerate(fluxes):
-        out -= np.diff(f, axis=d - g.dim) / g.spacing
+        _, tail, head, _, _ = _axis_plan(f.ndim, f.ndim - g.dim + d)
+        div = np.subtract(f[tail], f[head])
+        div /= g.spacing
+        # 0.0 - div, not -div: as differencing from a zero array, a +0.0 stays +0.0
+        out = np.subtract(0.0, div, out=div) if out is None else np.subtract(out, div, out=out)
     return out
 
 
@@ -257,18 +276,20 @@ def _edge_integral(g: Grid, per_axis):
     field; with batch axes ahead of the grid axes, an array of one value
     per field."""
     batch = per_axis[0].ndim - g.dim
-    total = sum(c.reshape(c.shape[:batch] + (-1,)).sum(axis=-1) for c in per_axis)
+    total = 0
+    for c in per_axis:
+        total = total + np.add.reduce(c.reshape(c.shape[:batch] + (-1,)), axis=-1)
     for d, parity in enumerate(g.mirror):
         if parity < 0:
-            face = per_axis[d][(slice(None),) * (batch + d) + (0,)]
-            total = total - 0.5 * face.sum(axis=tuple(range(batch, face.ndim)))
+            face = per_axis[d][_axis_plan(per_axis[d].ndim, batch + d)[0]]
+            total = total - 0.5 * np.add.reduce(face, axis=tuple(range(batch, face.ndim)))
     return total * g.weight if batch else float(total * g.weight)
 
 
 def _integral(g: Grid, values: np.ndarray):
     """Integral of a flat point field: its point sum times the point weight.
     A float for one field; a (B, N) batch gives an array of B values."""
-    total = values.sum(axis=-1) * g.weight
+    total = np.add.reduce(values, axis=-1) * g.weight
     return total if values.ndim > 1 else float(total)
 
 

@@ -540,7 +540,3 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "quiet", False):
         logging.basicConfig(level=logging.INFO, format="%(message)s")
     return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -82,7 +82,7 @@ from .energy import (
     _parts_raw,
     validate_potential,
 )
-from .grid import Field, Grid, _gradient_components, _h1v_raw, _inner, _integral
+from .grid import Field, Grid, _axis_plan, _gradient_components, _h1v_raw, _inner, _integral
 
 __all__ = [
     "MountainPassConfig",
@@ -418,17 +418,17 @@ def _linearized_matrix(
     against the zero exterior, 0 (even) or 2 (odd) times against a mirror.
     """
     lam, p = params.lam, params.p
-    n, h = g.points_per_dim, g.spacing
-    _, indices, diag_pos, edges = _stencil_pattern(g.dim, n)
+    h2 = g.spacing**2
+    _, indices, diag_pos, edges = _stencil_pattern(g.dim, g.points_per_dim)
     data = np.empty(indices.size)
     diag = np.zeros(g.shape)
     for d, (c, (lower, upper)) in enumerate(zip(_gradient_components(g, u.reshape(g.shape)), edges)):
+        first, tail, head, inner, _ = _axis_plan(g.dim, d)
         coeff = 1.0 + lam * _p_slope(c, p)
-        lead = (slice(None),) * d
-        coeff[lead + (0,)] *= g.first_edge[d]
-        diag += (coeff[lead + (slice(0, n),)] + coeff[lead + (slice(1, n + 1),)]) / h**2
-        data[lower] = data[upper] = -(coeff[lead + (slice(1, n),)] / h**2).reshape(-1)
-    diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * _p_weights(u, p)
+        coeff[first] *= g.first_edge[d]
+        diag += (coeff[head] + coeff[tail]) / h2
+        data[lower] = data[upper] = -(coeff[inner] / h2).reshape(-1)
+    diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * _p_weights(u * u, p)
     data[diag_pos] = diag if diag_shift is None else diag - diag_shift
     return data
 
@@ -575,7 +575,10 @@ def _subspace_local_max(
     for _ in range(_SUBSPACE_MAX_INNER):
         v = q @ c
         # the gradient at v and at its r difference points, in one call
-        grads = _gradient_raw(g, vvals, np.vstack((v, v + delta * q.T)), params)
+        points = np.empty((r + 1, v.size))
+        points[0] = v
+        np.add(v, np.multiply(delta, q.T, out=points[1:]), out=points[1:])
+        grads = _gradient_raw(g, vvals, points, params)
         gv = grads[0]
         gc = _inner(g, q.T, gv)
         if float(np.sqrt(gc @ gc)) <= tol:
@@ -587,7 +590,7 @@ def _subspace_local_max(
             w, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.abs(w) > 0.0):
+        if not (np.abs(w) > 0.0).all():
             break
         dc = vecs @ ((vecs.T @ gc) / np.abs(w))
         dn = float(np.sqrt(dc @ dc))
@@ -742,7 +745,7 @@ def descend(
     newton = False
     for _ in range(cfg.max_outer + 1):
         if not newton:
-            if float((u * u).sum()) > 0.0:
+            if np.add.reduce(u * u) > 0.0:
                 u = _subspace_local_max(g, vvals, u, params, span, 0.1 * cfg.descent_tol)
             grad = _gradient_raw(g, vvals, u, params)
             resid = _h1v_raw(g, vvals, precond.solve(grad))

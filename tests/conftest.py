@@ -67,3 +67,64 @@ def batch_fields(g, rows=5):
     u[1, ::5] = -0.0
     u[-1] = 0.0
     return u
+
+
+def face_zero_fields(g, rows=5):
+    """``batch_fields`` whose rows 1 and 2 hold signed zeros on the first
+    and the last slab of every axis: the mirror face of a quotient grid
+    and the points next to each last edge, in opposite signs."""
+    u = batch_fields(g, rows)
+    nd = u.reshape((rows,) + g.shape)
+    for d in range(g.dim):
+        lead = (slice(None),) * d
+        nd[(1,) + lead + (0,)] = nd[(2,) + lead + (-1,)] = -0.0
+        nd[(1,) + lead + (-1,)] = nd[(2,) + lead + (0,)] = 0.0
+    return u
+
+
+# Plain references for the raw grid kernels, written with np.diff,
+# ndarray.sum and sum() over a generator; the kernels must give their bytes.
+
+
+def reference_gradient_components(g, nd):
+    """Per axis, np.diff of the zero-padded array with the first edge
+    replaced by ``Grid.first_edge`` times u, divided by h."""
+    comps = []
+    batch = nd.ndim - g.dim
+    for d, factor in enumerate(g.first_edge):
+        pad = [(0, 0)] * nd.ndim
+        pad[batch + d] = (1, 1)
+        c = np.diff(np.pad(nd, pad), axis=batch + d)
+        first = (slice(None),) * (batch + d) + (0,)
+        c[first] = factor * nd[first]
+        comps.append(c / g.spacing)
+    return comps
+
+
+def reference_neg_div(g, fluxes):
+    out = np.zeros(fluxes[0].shape[: fluxes[0].ndim - g.dim] + g.shape)
+    for d, f in enumerate(fluxes):
+        out -= np.diff(f, axis=d - g.dim) / g.spacing
+    return out
+
+
+def reference_edge_integral(g, per_axis):
+    batch = per_axis[0].ndim - g.dim
+    total = sum(c.reshape(c.shape[:batch] + (-1,)).sum(axis=-1) for c in per_axis)
+    for d, parity in enumerate(g.mirror):
+        if parity < 0:
+            face = per_axis[d][(slice(None),) * (batch + d) + (0,)]
+            total = total - 0.5 * face.sum(axis=tuple(range(batch, face.ndim)))
+    return total * g.weight if batch else float(total * g.weight)
+
+
+def reference_integral(g, values):
+    total = values.sum(axis=-1) * g.weight
+    return total if values.ndim > 1 else float(total)
+
+
+def assert_same_bytes(got, want):
+    """Equal type, shape and bytes, so that a signed zero counts."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lse.energy import (
+    _GRAD_REG_EPS,
     Harmonic,
     PerturbationParams,
     Quartic,
@@ -27,7 +28,19 @@ from lse.energy import (
 )
 from lse.grid import Field, _h1v_raw, _integral, make_grid, norm_h1v, quotient_grid, unfold
 
-from conftest import BATCH_GRIDS, batch_fields, batch_grid, gausson_field, random_field
+from conftest import (
+    BATCH_GRIDS,
+    assert_same_bytes,
+    batch_fields,
+    batch_grid,
+    face_zero_fields,
+    gausson_field,
+    random_field,
+    reference_edge_integral,
+    reference_gradient_components,
+    reference_integral,
+    reference_neg_div,
+)
 
 SQRT_E = float(np.sqrt(np.e))
 
@@ -343,3 +356,57 @@ class TestBatchKernels:
                 # at lam = 0 the p-terms are the scalar 0.0 for every row
                 got = np.broadcast_to(getattr(parts, name), u.shape[:1])[i]
                 assert got.tobytes() == np.float64(getattr(one, name)).tobytes(), name
+
+
+def _reference_weights(t, p):
+    return (t * t + _GRAD_REG_EPS * _GRAD_REG_EPS) ** ((p - 2.0) / 2.0)
+
+
+def _reference_parts(g, vvals, u, params):
+    """The parts of _parts_raw by the grid references, each square
+    recomputed where it is used."""
+    comps = reference_gradient_components(g, u.reshape(u.shape[:-1] + g.shape))
+    parts = {
+        "grad_sq": reference_edge_integral(g, [c * c for c in comps]),
+        "v_mass": reference_integral(g, vvals * u * u),
+        "mass": reference_integral(g, u * u),
+        "log_int": reference_integral(g, log_density(u)),
+        "p_grad": 0.0,
+        "p_mass": 0.0,
+    }
+    if params.lam > 0.0:
+        eps2 = _GRAD_REG_EPS * _GRAD_REG_EPS
+        parts["p_grad"] = reference_edge_integral(g, [_reference_weights(c, params.p) * c * c for c in comps])
+        parts["p_mass"] = reference_integral(g, (u * u + eps2) ** (params.p / 2.0) - eps2 ** (params.p / 2.0))
+    return parts
+
+
+def _reference_gradient(g, vvals, u, params):
+    comps = reference_gradient_components(g, u.reshape(u.shape[:-1] + g.shape))
+    lap = reference_neg_div(g, comps).reshape(u.shape)
+    core = lap + vvals * u - np.asarray(log_nonlin(u))
+    if params.lam > 0.0:
+        fluxes = [_reference_weights(c, params.p) * c for c in comps]
+        p_part = reference_neg_div(g, fluxes).reshape(u.shape) + _reference_weights(u, params.p) * u
+        core = core + params.lam * p_part
+    return core
+
+
+class TestKernelsAgainstReferences:
+    """``_parts_raw`` and ``_gradient_raw`` give the bytes of plain
+    references built on the grid references of conftest, on one field and
+    on a (B, N) batch."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("lam, p", [(0.0, 1.5), (0.3, 1.3), (1.0, 1.9)])
+    @pytest.mark.parametrize("dim, n, mirror", BATCH_GRIDS)
+    def test_bit_equal_to_the_reference(self, dim, n, mirror, lam, p, batched):
+        g = batch_grid(dim, n, mirror)
+        vvals = Shifted(Harmonic(2.0), 0.5).evaluate(g).values
+        params = PerturbationParams(lam=lam, p=p)
+        fields = face_zero_fields(g)
+        for u in [fields] if batched else fields:
+            assert_same_bytes(_gradient_raw(g, vvals, u, params), _reference_gradient(g, vvals, u, params))
+            parts = _parts_raw(g, vvals, u, params)
+            for name, want in _reference_parts(g, vvals, u, params).items():
+                assert_same_bytes(getattr(parts, name), want)

@@ -25,7 +25,19 @@ from lse.grid import (
 )
 from lse.energy import Tabulated, norm_w1p
 
-from conftest import BATCH_GRIDS, batch_fields, batch_grid, neg_laplacian, random_field
+from conftest import (
+    BATCH_GRIDS,
+    assert_same_bytes,
+    batch_fields,
+    batch_grid,
+    face_zero_fields,
+    neg_laplacian,
+    random_field,
+    reference_edge_integral,
+    reference_gradient_components,
+    reference_integral,
+    reference_neg_div,
+)
 
 
 def _ones_potential(g):
@@ -261,6 +273,29 @@ class TestGradientComponents:
             want = np.diff(np.pad(nd, pad), axis=d) / g.spacing
             assert comp.shape == want.shape
             assert comp.tobytes() == want.tobytes()
+
+
+class TestKernelsAgainstReferences:
+    """Each raw kernel gives the bytes of its plain reference in conftest,
+    signed zeros included, on one field and on a (B, N) batch."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("dim, n, mirror", BATCH_GRIDS)
+    def test_bit_equal_to_the_reference(self, dim, n, mirror, batched):
+        g = batch_grid(dim, n, mirror)
+        fields = face_zero_fields(g)
+        for u in [fields] if batched else fields:
+            nd = u.reshape(u.shape[:-1] + g.shape)
+            comps = _gradient_components(g, nd)
+            want = reference_gradient_components(g, nd)
+            assert len(comps) == len(want) == dim
+            for c, w in zip(comps, want):
+                assert_same_bytes(c, w)
+            assert_same_bytes(_neg_div(g, comps), reference_neg_div(g, comps))
+            for per_axis in (comps, [c * c for c in comps], [np.abs(c) ** 1.3 for c in comps]):
+                assert_same_bytes(_edge_integral(g, per_axis), reference_edge_integral(g, per_axis))
+            for values in (u, u * u, np.abs(u) ** 1.3):
+                assert_same_bytes(_integral(g, values), reference_integral(g, values))
 
 
 class TestBatchKernels:

@@ -443,6 +443,17 @@ class TestRun:
 
 
 class TestMain:
+    def test_python_dash_m_lse_runs_the_command_line_once(self):
+        # ``lse`` imports ``lse.io_cli``, so running that module with -m
+        # warns on stderr and runs its body twice; ``python -m lse`` does not
+        proc = subprocess.run(
+            [sys.executable, "-m", "lse", "--help"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: lse ")
+
     def test_info_prints_header(self, cli_run, capsys):
         assert main(["info", str(cli_run["out"] / "u_1.lsef")]) == 0
         out = capsys.readouterr().out.splitlines()
