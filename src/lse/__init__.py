@@ -52,7 +52,6 @@ from .solver import (
     MountainPassResult,
     SolveReport,
     SolverError,
-    check_geometry,
     continue_to_limit,
     descend,
     mountain_pass,
@@ -61,6 +60,7 @@ from .solver import (
 from .verify import (
     CheckResult,
     check_energy_identity,
+    check_geometry,
     check_gradient_fd,
     check_linf,
     check_log_sobolev,

@@ -306,18 +306,19 @@ def read_field(path: str) -> tuple[Grid, Field]:
 # orchestration
 
 
-def _gradient_check(g: Grid, potential, spec: RunSpec) -> CheckResult:
-    """The gradient check, which depends on the run, not on a solution: its
-    fields are random draws seeded by ``rng_seed``."""
-    params0 = PerturbationParams(lam=0.0, p=spec.p)
+def _gradient_check(g: Grid, potential, params0: PerturbationParams, spec: RunSpec) -> CheckResult:
+    """The gradient check at the run's lam = 0 ``params0``, which depends
+    on the run, not on a solution: its fields are random draws seeded by
+    ``rng_seed``."""
     return check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed)
 
 
-def _run_checks(g: Grid, potential, u: Field, spec: RunSpec, gradient: CheckResult) -> list[CheckResult]:
-    """Every check of one accepted solution, in the order ``checks.csv``
-    and ``lse verify`` list them; ``gradient`` is the run's
-    ``_gradient_check``."""
-    params0 = PerturbationParams(lam=0.0, p=spec.p)
+def _run_checks(
+    g: Grid, potential, u: Field, params0: PerturbationParams, spec: RunSpec, gradient: CheckResult
+) -> list[CheckResult]:
+    """Every check of one accepted solution at the run's lam = 0
+    ``params0``, in the order ``checks.csv`` and ``lse verify`` list them;
+    ``gradient`` is the run's ``_gradient_check``."""
     nehari_tol = 20.0 * spec.tol_grad * norm_h1v(g, potential, u)
     return [
         check_nehari(g, potential, u, tolerance=nehari_tol),
@@ -377,18 +378,22 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
     """Execute the full solve described by ``spec`` and emit its artifacts.
 
     Exit code 0 requires all k solutions to be found and every accepted
-    solution to pass the gate checks (nehari, energy_identity, linf).
+    solution to pass the gate checks (nehari, energy_identity, linf).  A
+    stage that runs out of memory (a grid too large to allocate) fails
+    with that stage's ``FAIL`` line, like any other error of it.
     """
     try:
         g = make_grid(spec.dim, spec.half_width, spec.points)
         potential = build_potential(spec.potential)
         validate_potential(g, potential)
-        params = PerturbationParams(lam=spec.lambda_start, p=spec.p)
+        # the solve takes each lam from the schedule, so one lam = 0 params
+        # serves it and the checks
+        params0 = PerturbationParams(lam=0.0, p=spec.p)
         sched = ContinuationSchedule(
             lambda_start=spec.lambda_start, ratio=spec.lambda_ratio, lambda_min=spec.lambda_min
         )
         cfg = MountainPassConfig(descent_tol=spec.tol_grad, max_outer=spec.max_outer)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         return _fail("config", str(exc))
 
     try:
@@ -397,8 +402,8 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
         return _fail("io", str(exc))
 
     try:
-        solutions = find_k_solutions(g, potential, sched, params, cfg, spec.k_solutions)
-    except (SolverError, ValueError) as exc:
+        solutions = find_k_solutions(g, potential, sched, params0, cfg, spec.k_solutions)
+    except (SolverError, ValueError, MemoryError) as exc:
         return _fail("solve", str(exc))
     if len(solutions) < spec.k_solutions:
         return _fail(
@@ -406,9 +411,9 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
         )
 
     try:
-        gradient = _gradient_check(g, potential, spec)
-        all_checks = [_run_checks(g, potential, u, spec, gradient) for u, _, _ in solutions]
-    except ValueError as exc:
+        gradient = _gradient_check(g, potential, params0, spec)
+        all_checks = [_run_checks(g, potential, u, params0, spec, gradient) for u, _, _ in solutions]
+    except (ValueError, MemoryError) as exc:
         return _fail("verify", str(exc))
 
     try:
@@ -483,7 +488,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         potential = build_potential(spec.potential)
         validate_potential(g, potential)
-        results = _run_checks(g, potential, u, spec, _gradient_check(g, potential, spec))
+        params0 = PerturbationParams(lam=0.0, p=spec.p)
+        results = _run_checks(g, potential, u, params0, spec, _gradient_check(g, potential, params0, spec))
     except ValueError as exc:
         return _fail("verify", str(exc))
     if not args.quiet:

@@ -72,7 +72,8 @@ def find_k_solutions(
     Candidates whose unfolded field is closer than ``_SEPARATION`` to
     +-(an accepted solution) are rejected as duplicates.  Returns the accepted full-grid fields with
     their energies and the reports of ``continue_to_limit``, sorted by
-    energy; a shortfall is logged, not raised.
+    energy; a shortfall is logged, not raised.  Every lam comes from
+    ``sched``, so of ``params`` only ``p`` is read.
     """
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")

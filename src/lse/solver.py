@@ -47,10 +47,9 @@ they contract the residual by ``_CHORD_THETA``, across iterates and lam
 stages alike: ``continue_to_limit`` makes one step owner per solve and
 hands it to every stage.  Banded grids refactor at every step.
 
-Energy is nonincreasing across the accepted Armijo steps (recorded in
-``DescentResult.energy_steps``); the ray rescale between steps moves back
-*up* to the ridge by construction, and the Newton steps are monotone in
-the residual instead.
+Energy is nonincreasing across each accepted Armijo step; the ray
+rescale between steps moves back *up* to the ridge by construction, and
+the Newton steps are monotone in the residual instead.
 
 ``mountain_pass`` starts the descent at the exact peak of the ray through
 a seed profile, the maximum of I_lam over the path t -> t * e from 0, and
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -97,7 +95,6 @@ __all__ = [
     "CollapseError",
     "ConvergenceFailure",
     "structured_seed",
-    "check_geometry",
     "descend",
     "mountain_pass",
     "continue_to_limit",
@@ -197,19 +194,18 @@ class LambdaRecord:
 
 @dataclass
 class SolveReport:
-    """Per-stage continuation diagnostics plus final identity margins.
+    """Per-stage continuation diagnostics.
 
     records are ordered by decreasing lam with the lam = 0 stage last;
-    trajectory holds the converged field of each stage.  newton_steps and
-    factorizations sum those of the stages' descents.
+    trajectory holds the converged field of each stage.  m2_estimate is the
+    mountain-pass level, the path maximum of the first stage.  newton_steps
+    and factorizations sum those of the stages' descents.  The identities a
+    solution satisfies are checked by :mod:`lse.verify`, not here.
     """
 
     records: list[LambdaRecord] = field(default_factory=list)
     trajectory: list[Field] = field(default_factory=list)
-    nehari_margin: float = float("nan")
-    energy_mass_defect: float = float("nan")
     m2_estimate: float = float("nan")
-    wall_time: float = 0.0
     newton_steps: int = 0
     factorizations: int = 0
 
@@ -222,7 +218,6 @@ class DescentResult:
     converged: bool
     stagnated: bool = False
     collapsed: bool = False
-    energy_steps: list[tuple[float, float]] = field(default_factory=list)
     newton_steps: int = 0  # the part of ``iterations`` taken by the Newton finish
     factorizations: int = 0  # of the step and Newton operators, by the step owner
     gradient: np.ndarray | None = None  # el_gradient of ``field`` once converged
@@ -601,35 +596,6 @@ def _subspace_local_max(
     return q @ c
 
 
-def check_geometry(
-    g: Grid,
-    potential,
-    params: PerturbationParams,
-    rho: float,
-    samples: int,
-    rng_seed: int = 0,
-) -> float:
-    """Sampled lower bound for I_lam on the sphere of weighted norm rho.
-
-    Draws ``samples`` white-noise fields, rescales each to norm rho and
-    returns the smallest energy seen (positive means the local-minimum
-    barrier at 0 is visible at this radius).
-    """
-    if samples < 1:
-        raise ValueError(f"samples={samples} (need at least 1)")
-    if not rho > 0.0:
-        raise ValueError(f"rho={rho} must be positive")
-    vvals = potential.evaluate(g).values
-    rng = np.random.default_rng(rng_seed)
-    alpha = np.inf
-    for _ in range(samples):
-        w = rng.standard_normal(g.npoints)
-        nrm = _h1v_raw(g, vvals, w)
-        scaled = (rho / nrm) * w
-        alpha = min(alpha, _parts_raw(g, vvals, scaled, params).total)
-    return float(alpha)
-
-
 # ---------------------------------------------------------------------------
 # descent
 
@@ -782,7 +748,6 @@ def descend(
                 result.stagnated = True
                 break
             u = cand
-            result.energy_steps.append((e0, e1))
         result.iterations += 1
         if _integral(g, u * u) < _MASS_FLOOR:
             result.collapsed = True
@@ -885,9 +850,10 @@ def continue_to_limit(
     trajectories].  Every stage shares one step owner
     (``_step_factorization``), made here and released on return, so a
     Newton factor of one stage may serve the next but never another solve.
+    Every stage takes its lam from ``sched`` (the mountain pass at its
+    start, a final lam = 0 solve last), so of ``params`` only ``p`` is read.
     Raises CollapseError if the limit field is trivial (mass below 1e-6).
     """
-    start = time.perf_counter()
     validate_potential(g, potential)
     if precond is None:
         precond = Preconditioner(g, potential)
@@ -896,14 +862,13 @@ def continue_to_limit(
     lams = sched.lambdas() + [0.0]
     lu = _step_factorization(g)
 
-    def record(field: Field, par: PerturbationParams, res: DescentResult):
-        """Append the stage to the report; returns its energy parts."""
+    def record(field: Field, par: PerturbationParams, res: DescentResult) -> None:
+        """Append the stage to the report."""
         parts = _parts_raw(g, vvals, field.values, par)
         report.records.append(_stage_record(g, field.values, par, res, parts))
         report.trajectory.append(field)
         report.newton_steps += res.newton_steps
         report.factorizations += res.factorizations
-        return parts
 
     try:
         par = replace(params, lam=lams[0])
@@ -920,16 +885,11 @@ def continue_to_limit(
                 deflation=[t[i] for t in trajectories], precond=precond, step_lu=lu,
             )
             _raise_unless_converged(res, lam, f"continuation stage lam={lam:g}")
-            parts = record(res.field, par, res)  # the last stage is at lam = 0
+            record(res.field, par, res)  # the last stage is at lam = 0
     finally:
         lu.release()
 
-    u = report.trajectory[-1].values
-    mass = _integral(g, u * u)
+    mass = report.records[-1].mass
     if mass < 1e-6:
         raise CollapseError(f"trivial limit: mass integral {mass:.3e} below 1e-6 (run rejected)")
-    lhs = parts.grad_sq + parts.v_mass
-    report.nehari_margin = abs(lhs - parts.log_int) / (1.0 + abs(lhs))
-    report.energy_mass_defect = abs(parts.total - 0.5 * parts.mass)
-    report.wall_time = time.perf_counter() - start
-    return Field(grid=g, values=u), report
+    return report.trajectory[-1], report

@@ -8,12 +8,15 @@ Two margin conventions are used deliberately:
   ``gradient_fd``) report a *relative* defect, normalised by ``1 + |scale|``
   so the margin is meaningful for both tiny and huge fields; they pass when
   the margin is at most the tolerance;
-* inequality checks (``log_sobolev``, ``linf``) report the signed slack of
-  the inequality without normalisation, so a large field cannot mask a
-  violation; they pass when the margin is nonnegative.
+* inequality checks (``log_sobolev``, ``linf``, ``geometry``) report the
+  signed slack of the inequality without normalisation, so a large field
+  cannot mask a violation; they pass when the margin is nonnegative
+  (``geometry``: positive).
 
-The CLI runs all six on every accepted solution, in the order of
+The CLI runs six of them on every accepted solution, in the order of
 ``lse.io_cli._run_checks``, which is the order ``checks.csv`` lists them.
+The seventh, ``geometry``, probes the perturbed functional near 0 rather
+than a solution, and the CLI does not run it.
 
 ``gradient_fd`` hands its trials to the batched energy kernels in chunks
 of at most ``_BATCH_VALUES`` shifted values per call, and one field per
@@ -36,7 +39,7 @@ from .energy import (
     log_density,
     residual_original,
 )
-from .grid import Field, Grid, _grad_sq, _inner, _integral, _require_same_grid
+from .grid import Field, Grid, _grad_sq, _h1v_raw, _inner, _integral, _require_same_grid
 
 __all__ = [
     "CheckResult",
@@ -45,6 +48,7 @@ __all__ = [
     "check_scaling",
     "check_log_sobolev",
     "check_linf",
+    "check_geometry",
     "check_gradient_fd",
 ]
 
@@ -201,6 +205,36 @@ def check_linf(u: Field, cap: float = 1e3) -> CheckResult:
         tolerance=0.0,
         passed=margin >= 0.0,
     )
+
+
+def check_geometry(
+    g: Grid,
+    potential,
+    params: PerturbationParams,
+    rho: float,
+    samples: int,
+    rng_seed: int = 0,
+) -> CheckResult:
+    """Sampled mountain-pass geometry: I_lam >= alpha > 0 on the sphere of
+    weighted norm rho.
+
+    Draws ``samples`` white-noise fields, rescales each to norm rho and
+    takes the smallest energy seen as the margin alpha; it passes when
+    alpha is positive, i.e. the local-minimum barrier at 0 is visible at
+    this radius.
+    """
+    if samples < 1:
+        raise ValueError(f"samples={samples} (need at least 1)")
+    if not rho > 0.0:
+        raise ValueError(f"rho={rho} must be positive")
+    vvals = potential.evaluate(g).values
+    rng = np.random.default_rng(rng_seed)
+    alpha = np.inf
+    for _ in range(samples):
+        w = rng.standard_normal(g.npoints)
+        alpha = min(alpha, _parts_raw(g, vvals, (rho / _h1v_raw(g, vvals, w)) * w, params).total)
+    alpha = float(alpha)
+    return CheckResult(name="geometry", margin=alpha, tolerance=0.0, passed=alpha > 0.0)
 
 
 def check_gradient_fd(

@@ -9,6 +9,8 @@ for one pass/fail line per criterion.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,16 @@ from lse.solver import (
     ContinuationSchedule,
     MountainPassConfig,
     Preconditioner,
-    check_geometry,
     continue_to_limit,
 )
-from lse.verify import check_energy_identity, check_gradient_fd, check_log_sobolev, check_nehari, check_scaling
+from lse.verify import (
+    check_energy_identity,
+    check_geometry,
+    check_gradient_fd,
+    check_log_sobolev,
+    check_nehari,
+    check_scaling,
+)
 
 V = Harmonic(2.0)
 TOL_GRAD = 1e-6
@@ -49,18 +57,23 @@ def energy_mass_defect(g, u) -> float:
     return abs(energy_parts(g, V, u, PerturbationParams(lam=0.0)).total - 0.5 * mass)
 
 
+def timed_solve(g):
+    """The limit solve on g, its report and its wall time in seconds."""
+    start = time.perf_counter()
+    u, report = continue_to_limit(g, V, SCHED, PARAMS, CFG)
+    return u, report, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def run1d():
     g = make_grid(1, 8.0, 1022)  # h ~ 1/64, even count keeps the origin off-grid
-    u, report = continue_to_limit(g, V, SCHED, PARAMS, CFG)
-    return g, u, report
+    return (g, *timed_solve(g))
 
 
 @pytest.fixture(scope="module")
 def run2d():
     g = make_grid(2, 6.0, 190)  # h ~ 1/16 per axis
-    u, report = continue_to_limit(g, V, SCHED, PARAMS, CFG)
-    return g, u, report
+    return (g, *timed_solve(g))
 
 
 @pytest.fixture(scope="module")
@@ -70,24 +83,24 @@ def run_k3():
 
 
 def test_criterion_01_gausson_recovery_1d(run1d):
-    g, u, report = run1d
+    g, u, report, wall_s = run1d
     star = gausson_values(g)
     rel_l2 = float(np.linalg.norm(u.values - star) / np.linalg.norm(star))
     energy = report.records[-1].energy
     assert rel_l2 <= 5e-3
     assert abs(energy - 4.63036) <= 0.01
     assert report.records[-1].lam == 0.0
-    assert report.wall_time <= 60.0
+    assert wall_s <= 60.0
 
 
 def test_criterion_02_gausson_recovery_2d(run2d):
-    g, u, report = run2d
+    g, u, report, wall_s = run2d
     energy = report.records[-1].energy
     assert abs(energy - 42.88) / 42.88 <= 0.02
     star = gausson_values(g)
     overlap = float(np.dot(u.values, star) / (np.linalg.norm(u.values) * np.linalg.norm(star)))
     assert overlap > 0.999  # same profile, not an accidental energy match
-    assert report.wall_time <= 300.0
+    assert wall_s <= 300.0
 
 
 def test_criterion_03_gradient_consistency():
@@ -123,17 +136,15 @@ def test_criterion_05_scaling_equivariance():
 
 
 def test_criterion_06_limit_identities(run1d):
-    g, u, report = run1d
+    g, u, _, _ = run1d
     bound = limit_identity_bound(g, u)
     res = check_nehari(g, V, u, tolerance=bound)
     assert res.passed, (res.margin, bound)
-    assert report.nehari_margin <= bound
     assert energy_mass_defect(g, u) <= bound
-    assert report.energy_mass_defect <= bound
 
 
 def test_criterion_07_lambda_uniform_bounds(run1d):
-    _, _, report = run1d
+    _, _, report, _ = run1d
     energies = [rec.energy for rec in report.records]
     assert all(e > 0.0 for e in energies)
     assert all(e <= report.m2_estimate + 1e-9 for e in energies)
@@ -189,8 +200,8 @@ def test_criterion_10_geometry_probe():
     g = make_grid(1, 8.0, 254)
     rho = 1e-3
     for lam in (1e-4, 1.0):
-        alpha = check_geometry(g, V, PerturbationParams(lam=lam, p=1.5), rho, 200)
-        assert alpha >= 0.25 * rho**2, (lam, alpha)
+        res = check_geometry(g, V, PerturbationParams(lam=lam, p=1.5), rho, 200)
+        assert res.passed and res.margin >= 0.25 * rho**2, (lam, res.margin)
 
 
 def test_criterion_11_determinism_and_io(tmp_path):
@@ -223,7 +234,9 @@ def test_criterion_12_gausson_recovery_3d():
     # V = 2|x|^2) is about 0.25 on every grid measured (0.247 at n = 30,
     # 0.248 at n = 38)
     g = make_grid(3, 4.0, 30)
-    ((u, energy, report),) = find_k_solutions(g, V, SCHED, PARAMS, CFG, 1)
+    start = time.perf_counter()
+    ((u, energy, _),) = find_k_solutions(g, V, SCHED, PARAMS, CFG, 1)
+    wall_s = time.perf_counter() - start
     assert u.grid == g
     reference = 0.5 * np.exp(6.0) * (np.pi / 2.0) ** 1.5
     ratio = (reference - energy) / reference / (3.0 * g.spacing**2)
@@ -232,4 +245,4 @@ def test_criterion_12_gausson_recovery_3d():
     overlap = float(np.dot(u.values, star) / (np.linalg.norm(u.values) * np.linalg.norm(star)))
     assert overlap > 0.999
     assert check_nehari(g, V, u, tolerance=limit_identity_bound(g, u)).passed
-    assert report.wall_time <= 60.0
+    assert wall_s <= 60.0

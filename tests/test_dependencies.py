@@ -130,3 +130,13 @@ def test_only_grid_weighs_points():
             if isinstance(node, ast.Attribute) and node.attr == "weight":
                 readers.add(path.name)
     assert readers == {"grid.py"}, readers
+
+
+def test_only_verify_defines_checks():
+    # every identity and inequality check has one home, lse.verify
+    definers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
+                definers.add(path.name)
+    assert definers == {"verify.py"}, definers

@@ -434,6 +434,13 @@ class TestRun:
         assert run(spec, quiet=True) == 1
         assert last_stderr_line(capsys).startswith("FAIL config ")
 
+    def test_fail_config_on_a_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # 1e15 points pass the schema; V's values on them (7.11 PiB) cannot
+        # be allocated in any address space, so the allocation fails at once
+        spec = parse_config(config_text(output_dir=str(tmp_path / "o"), dim=3, points=100000))
+        assert run(spec, quiet=True) == 1
+        assert last_stderr_line(capsys).startswith("FAIL config Unable to allocate")
+
     def test_fail_io_on_unusable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file")

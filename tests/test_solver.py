@@ -28,11 +28,11 @@ from lse.solver import (
     MountainPassConfig,
     Preconditioner,
     SolverError,
-    check_geometry,
     continue_to_limit,
     descend,
     mountain_pass,
 )
+from lse.verify import check_nehari
 
 from conftest import gausson_field, neg_laplacian, random_field
 
@@ -374,31 +374,10 @@ class TestRayPeak:
                 assert t == pytest.approx(want, rel=1e-14)
 
 
-class TestSeedAndGeometry:
+class TestSeed:
     def test_default_seed_unit_norm(self, grid1d):
         e = structured_seed(grid1d, 1, V_HARMONIC)
         assert norm_h1v(grid1d, V_HARMONIC, e) == pytest.approx(1.0, rel=1e-12)
-
-    def test_geometry_positive_at_small_radius(self, grid_mid):
-        params = PerturbationParams(lam=1.0, p=1.5)
-        alpha = check_geometry(grid_mid, V_HARMONIC, params, 0.5, 200, rng_seed=0)
-        assert alpha > 0.0
-
-    def test_geometry_quadratic_lower_bound(self, grid_mid):
-        # near rho = 0 the barrier is dominated by the quadratic term
-        rho = 1e-3
-        for lam in (1e-4, 1.0):
-            alpha = check_geometry(
-                grid_mid, V_HARMONIC, PerturbationParams(lam=lam, p=1.5), rho, 200, rng_seed=0
-            )
-            assert alpha >= 0.25 * rho * rho
-
-    def test_geometry_preconditions(self, grid1d):
-        params = PerturbationParams(lam=1.0)
-        with pytest.raises(ValueError):
-            check_geometry(grid1d, V_HARMONIC, params, 0.5, 0)
-        with pytest.raises(ValueError):
-            check_geometry(grid1d, V_HARMONIC, params, 0.0, 10)
 
 
 class TestDescend:
@@ -422,10 +401,10 @@ class TestDescend:
         params = PerturbationParams(lam=0.0)
         res = descend(g, V_HARMONIC, Field(grid=g, values=np.exp(-r2 / 4.0)), params, MountainPassConfig())
         assert res.converged
-        assert len(res.energy_steps) == 1 and res.newton_steps == 4
+        assert res.iterations - res.newton_steps == 1 and res.newton_steps == 4
         assert res.factorizations == res.iterations == 5
         near = descend(g, V_HARMONIC, Field(grid=g, values=np.exp(-2.0 * r2)), params, MountainPassConfig())
-        assert near.converged and not near.energy_steps
+        assert near.converged and near.iterations == near.newton_steps
         energy = energy_parts(g, V_HARMONIC, res.field, params).total
         assert energy == pytest.approx(energy_parts(g, V_HARMONIC, near.field, params).total, rel=1e-12)
         assert energy == pytest.approx(4.5908266747, rel=1e-10)
@@ -437,23 +416,75 @@ class TestDescend:
         assert res.converged
         assert res.residual == 0.0
 
-    def test_energy_monotone_over_random_starts(self, grid1d):
+    def test_energy_monotone_over_random_starts(self, grid1d, monkeypatch):
+        # the stabilizer runs before every Armijo step and after each one
+        # that Newton does not take over from, so I of one call's output and
+        # I of the next call's input are the energies at the two ends of one
+        # Armijo step
+        calls = []
+        subspace = solver_mod._subspace_local_max
+
+        def recorded(g, vvals, u, params, *args):
+            out = subspace(g, vvals, u, params, *args)
+            calls.append((_parts_raw(g, vvals, u, params).total, _parts_raw(g, vvals, out, params).total))
+            return out
+
+        monkeypatch.setattr(solver_mod, "_subspace_local_max", recorded)
         cfg = MountainPassConfig(max_outer=40)
         params = PerturbationParams(lam=0.5, p=1.5)
         rng = np.random.default_rng(123)
         for _ in range(20):
             u0 = random_field(grid1d, rng, scale=2.0)
-            res = descend(grid1d, V_HARMONIC, u0, params, cfg)
+            calls.clear()
+            descend(grid1d, V_HARMONIC, u0, params, cfg)
             # the ray rescale before each step moves back up to the ridge, so
             # the energy falls within each Armijo step, not across them
-            assert res.energy_steps
-            assert all(e1 <= e0 for e0, e1 in res.energy_steps)
+            steps = [(e0, e1) for (_, e0), (e1, _) in zip(calls, calls[1:])]
+            assert steps
+            assert all(e1 <= e0 for e0, e1 in steps)
 
     def test_mass_floor_reports_collapse(self, grid1d, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MASS_FLOOR", 1e6)
         u0 = random_field(grid1d, np.random.default_rng(3), scale=1e-3)
         res = descend(grid1d, V_HARMONIC, u0, PerturbationParams(lam=1.0), MountainPassConfig(max_outer=50))
         assert res.collapsed
+
+
+class TestFailureExits:
+    """The exits of a descent that finds no step, and the errors they raise
+    in a solve; no benchmark config reaches them."""
+
+    @staticmethod
+    def start():
+        g = make_grid(1, 6.0, 64)
+        u0 = Field(grid=g, values=np.random.default_rng(1).uniform(-2.0, 2.0, g.npoints))
+        return g, u0, PerturbationParams(lam=0.5, p=1.5)
+
+    def test_armijo_stagnation(self, monkeypatch):
+        # no step length meets an unmeetable sufficient decrease
+        monkeypatch.setattr(solver_mod, "_ARMIJO_C1", 1e300)
+        g, u0, params = self.start()
+        res = descend(g, V_HARMONIC, u0, params, MountainPassConfig())
+        assert res.stagnated and not res.converged
+        assert res.iterations == 0
+
+    def test_newton_stagnation(self, monkeypatch):
+        # the negated Jacobian steps uphill in the residual at every damping;
+        # this start reaches the Newton finish after three Armijo steps
+        newton_matrix = solver_mod._newton_matrix
+        monkeypatch.setattr(solver_mod, "_newton_matrix", lambda *args: -newton_matrix(*args))
+        g, u0, params = self.start()
+        res = descend(g, V_HARMONIC, u0, params, MountainPassConfig())
+        assert res.stagnated and not res.converged
+        assert res.iterations == 3 and res.newton_steps == 0
+        with pytest.raises(ConvergenceFailure, match="line search stagnated"):
+            continue_to_limit(g, V_HARMONIC, ContinuationSchedule(), params, MountainPassConfig())
+
+    def test_collapse_raises(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_MASS_FLOOR", 1e300)
+        g, _, params = self.start()
+        with pytest.raises(CollapseError, match="iterate collapsed to zero at lam=1$"):
+            continue_to_limit(g, V_HARMONIC, ContinuationSchedule(), params, MountainPassConfig())
 
 
 class TestNewtonFinish:
@@ -821,10 +852,11 @@ class TestContinueToLimit:
             assert 0.0 < rec.energy <= report.m2_estimate + 1e-9
 
     def test_limit_identities(self, ground_run, grid_mid):
+        # the Nehari identity and its unnormalized form I(u) = mass / 2
         u, report = ground_run
         bound = 20.0 * 1e-6 * norm_h1v(grid_mid, V_HARMONIC, u)
-        assert report.nehari_margin <= bound
-        assert report.energy_mass_defect <= bound
+        assert check_nehari(grid_mid, V_HARMONIC, u).margin <= bound
+        assert abs(report.records[-1].energy - 0.5 * report.records[-1].mass) <= bound
 
     def test_warm_start_consistency_bound(self, ground_run, grid_mid):
         _, report = ground_run
@@ -854,20 +886,17 @@ class TestContinueToLimit:
         assert report.records[-1].mass >= 1e-6
 
     def test_limit_checks_use_the_final_record_parts(self, ground_run, grid_mid):
-        # the margin and defect come from the lam = 0 parts of the last
-        # record, bit for bit
+        # the energy and the mass that the trivial-limit test reads are the
+        # lam = 0 parts of the returned field, bit for bit
         u, report = ground_run
         vvals = V_HARMONIC.evaluate(grid_mid).values
         parts = solver_mod._parts_raw(grid_mid, vvals, u.values, PerturbationParams(lam=0.0, p=1.5))
-        lhs = parts.grad_sq + parts.v_mass
         assert report.records[-1].energy == parts.total
         assert report.records[-1].mass == parts.mass
-        assert report.nehari_margin == abs(lhs - parts.log_int) / (1.0 + abs(lhs))
-        assert report.energy_mass_defect == abs(parts.total - 0.5 * parts.mass)
 
     def test_each_stage_evaluates_its_energy_parts_once(self, grid_mid, monkeypatch):
         # outside its searches, a solve evaluates the energy parts once per
-        # stage, at the stage's lam; the limit checks add no evaluation
+        # stage, at the stage's lam; the trivial-limit test adds none
         lams, depth = [], []
         parts_raw = solver_mod._parts_raw
 

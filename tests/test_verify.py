@@ -13,6 +13,7 @@ from lse.solver import Preconditioner
 from lse.verify import (
     CheckResult,
     check_energy_identity,
+    check_geometry,
     check_gradient_fd,
     check_linf,
     check_log_sobolev,
@@ -182,6 +183,33 @@ class TestLinf:
         z = Field(grid=grid1d, values=np.zeros(grid1d.npoints))
         with pytest.raises(ValueError):
             check_linf(z, cap=0.0)
+
+
+class TestGeometry:
+    """The mountain-pass geometry I_lam >= alpha > 0 on a small sphere."""
+
+    @pytest.fixture(scope="class")
+    def grid_mid(self):
+        return make_grid(1, 8.0, 254)
+
+    def test_positive_at_small_radius(self, grid_mid):
+        res = check_geometry(grid_mid, V, PerturbationParams(lam=1.0, p=1.5), 0.5, 200, rng_seed=0)
+        assert res.passed and res.margin > 0.0
+
+    def test_quadratic_lower_bound(self, grid_mid):
+        # near rho = 0 the barrier is dominated by the quadratic term
+        rho = 1e-3
+        for lam in (1e-4, 1.0):
+            res = check_geometry(grid_mid, V, PerturbationParams(lam=lam, p=1.5), rho, 200, rng_seed=0)
+            assert res.name == "geometry" and res.tolerance == 0.0
+            assert res.passed and res.margin >= 0.25 * rho * rho
+
+    def test_preconditions(self, grid1d):
+        params = PerturbationParams(lam=1.0)
+        with pytest.raises(ValueError):
+            check_geometry(grid1d, V, params, 0.5, 0)
+        with pytest.raises(ValueError):
+            check_geometry(grid1d, V, params, 0.0, 10)
 
 
 class TestGradientFd:
