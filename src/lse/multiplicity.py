@@ -108,8 +108,8 @@ def find_k_solutions(
         except (CollapseError, ConvergenceFailure, GeometryFailure) as exc:
             log.info("seed %d did not produce a solution: %s", attempt, exc)
             continue
-        log.info("seed %d solved: %d Newton steps, %d step and Newton factorizations",
-                 attempt, rep.newton_steps, rep.factorizations)
+        log.info("seed %d solved: %d Newton steps, %d step and Newton factorizations, "
+                 "%d discarded Newton trials", attempt, rep.newton_steps, rep.factorizations, rep.discarded_trials)
         u = unfold(sg, u.values)
         dup = False
         for prev, _, _ in accepted:

@@ -36,16 +36,19 @@ stay in their sector exactly, since the sector is the space they live in.
 
 Once that residual is at most ``_NEWTON_RESID``, every further step of
 the same loop is a ``_newton_polish`` step: damped Newton on the true
-Jacobian ``_newton_matrix``, accepted only if it lowers the residual.  Near
+Jacobian ``_newton_matrix``.  It has one acceptance rule for every trial,
+chord or damped Newton: keep it if it lowers the residual by 1%.  Near
 a critical point it converges in a few steps whatever the Morse index, so
 it needs neither the ray rescale nor the deflation span; warm-started lam
 stages typically start there.  One budget, cfg.max_outer, counts both
 kinds of step, and a mass integral below the constant ``_MASS_FLOOR``
 stops any descent as collapsed.
-On SuperLU grids a Newton Jacobian factor is kept for chord steps while
-they contract the residual by ``_CHORD_THETA``, across iterates and lam
-stages alike: ``continue_to_limit`` makes one step owner per solve and
-hands it to every stage.  Banded grids refactor at every step.
+On SuperLU grids a Newton Jacobian factor is kept for chord steps, across
+iterates and lam stages alike, while they contract the residual by
+``_CHORD_THETA`` or reach the descent tolerance; after a slower kept chord
+step the next step factors the Jacobian at the iterate it reached.
+``continue_to_limit`` makes one step owner per solve and hands it to every
+stage.  Banded grids refactor at every step.
 
 Energy is nonincreasing across each accepted Armijo step; the ray
 rescale between steps moves back *up* to the ridge by construction, and
@@ -198,9 +201,10 @@ class SolveReport:
 
     records are ordered by decreasing lam with the lam = 0 stage last;
     trajectory holds the converged field of each stage.  m2_estimate is the
-    mountain-pass level, the path maximum of the first stage.  newton_steps
-    and factorizations sum those of the stages' descents.  The identities a
-    solution satisfies are checked by :mod:`lse.verify`, not here.
+    mountain-pass level, the path maximum of the first stage.  newton_steps,
+    factorizations and discarded_trials sum those of the stages' descents.
+    The identities a solution satisfies are checked by :mod:`lse.verify`,
+    not here.
     """
 
     records: list[LambdaRecord] = field(default_factory=list)
@@ -208,6 +212,7 @@ class SolveReport:
     m2_estimate: float = float("nan")
     newton_steps: int = 0
     factorizations: int = 0
+    discarded_trials: int = 0
 
 
 @dataclass
@@ -220,6 +225,7 @@ class DescentResult:
     collapsed: bool = False
     newton_steps: int = 0  # the part of ``iterations`` taken by the Newton finish
     factorizations: int = 0  # of the step and Newton operators, by the step owner
+    discarded_trials: int = 0  # Newton-finish trials evaluated and not kept
     gradient: np.ndarray | None = None  # el_gradient of ``field`` once converged
 
 
@@ -255,7 +261,8 @@ class _Factorization:
     A SuperLU factor costs many solves, so ``_newton_polish`` keeps a Newton
     Jacobian factor for later chord steps (``lags_jacobian``) and marks it
     with ``holds_jacobian``; every ``factor`` call, failed ones included,
-    and ``release`` clear the mark.
+    and ``release`` clear the mark, and so does ``_newton_polish`` after a
+    chord step that contracts too little.
     """
 
     lags_jacobian = True
@@ -600,16 +607,19 @@ def _subspace_local_max(
 # descent
 
 
-# A chord step (with the lagged Jacobian factor of an earlier iterate or lam
-# stage) is kept when it lowers the preconditioned residual below this
-# fraction of the current one; otherwise the Jacobian is refactored.
-# SuperLU factorizations / iterations per solve, in process, seed 5:
-#   theta       0 (no lag)  0.25    0.5     0.75    0.9
-#   gausson_2d  17 / 16     13 / 22  8 / 29  7 / 38  5 / 101
-#   3d n = 40   17 / 16     15 / 23  7 / 29  7 / 52
+# A kept chord step (with the lagged Jacobian factor of an earlier iterate
+# or lam stage) keeps that factor for the next step when it lowers the
+# preconditioned residual below this fraction of the current one, or to the
+# descent tolerance; otherwise the next step refactors at its iterate.
+# SuperLU factorizations / iterations per solve and time, through
+# find_k_solutions, in process, one thread (gausson_2d at seed 5):
+#   theta       0 (no lag)       0.25            0.5             0.75            0.9
+#   gausson_2d  17 / 16 0.148 s  12 / 32 0.127   7 / 32 0.088    7 / 50 0.105    7 / 96 0.149
+#   3d n = 40   17 / 16 1.70 s   9 / 25 0.94     7 / 31 0.79     6 / 55 0.72     5 / 90 0.71
 # (3d: the shifted Gausson V = 2|x|^2 + 0.5, L = 5, a 20^3 quotient; counts
-# include the preconditioner's factor).  0.5 was fastest on both: 3d 3.32,
-# 3.35, 1.73, 1.93 s; above it the chord steps crawl.
+# include the preconditioner's factor; times are the best of 3).  On
+# gausson_2d every other column takes 19% or more longer than 0.5; in 3d,
+# 0.75 and 0.9 are up to 10% faster, but above 0.5 the 2d chord steps crawl.
 _CHORD_THETA = 0.5
 
 
@@ -623,30 +633,40 @@ def _newton_polish(
     precond: Preconditioner,
     lu: _Factorization | _BandedFactorization,
     result: DescentResult,
+    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """One damped Newton step on el_gradient = 0 from the iterate u, with
     gradient ``grad`` and preconditioned residual ``resid``; returns the
     accepted (u, grad, resid), or None when no damping lowers the residual.
 
-    When ``lu`` holds a Newton Jacobian factor, of an earlier iterate or lam
-    stage, the step first tries the undamped chord step u - J_old^-1 grad
-    and keeps it if the residual falls below ``_CHORD_THETA`` times
-    ``resid``.  Otherwise it factors the true Jacobian ``_newton_matrix`` at
-    u into ``lu`` (kept for later chord steps if ``lu.lags_jacobian``,
-    counted in ``result.factorizations``) and halves the Newton step (at
-    most seven times) until the residual falls by 1%.
+    Every trial, chord or Newton, is kept when its residual is finite and
+    below 0.99 * ``resid``; each one that is not adds to
+    ``result.discarded_trials``.  When ``lu`` holds a Newton Jacobian
+    factor, of an earlier iterate or lam stage, the step first tries the
+    undamped chord step u - J_old^-1 grad.  A kept chord step keeps the
+    factor for the next step when it contracts the residual below
+    ``_CHORD_THETA`` times ``resid`` or reaches the descent tolerance
+    ``tol``; otherwise the next step factors the Jacobian at the kept
+    iterate.  A chord trial that is not kept, or no held factor, factors the
+    true Jacobian ``_newton_matrix`` at u into ``lu`` (kept for later chord
+    steps if ``lu.lags_jacobian``, counted in ``result.factorizations``) and
+    halves the Newton step (at most seven times) until a trial is kept.
     """
 
-    def trial(cand, bound):
+    def trial(cand):
         """(cand, its gradient, its residual) if that residual is finite and
-        below bound, else None."""
+        below 0.99 * resid, else None."""
         gnew = _gradient_raw(g, vvals, cand, params)
         rnew = _h1v_raw(g, vvals, precond.solve(gnew))
-        return (cand, gnew, rnew) if np.isfinite(rnew) and rnew < bound else None
+        if np.isfinite(rnew) and rnew < 0.99 * resid:
+            return cand, gnew, rnew
+        result.discarded_trials += 1
+        return None
 
     if lu.holds_jacobian:
-        step = trial(u - lu.solve(grad), _CHORD_THETA * resid)
+        step = trial(u - lu.solve(grad))
         if step is not None:
+            lu.holds_jacobian = step[2] < _CHORD_THETA * resid or step[2] <= tol
             return step
     lu.factor(_newton_matrix(g, vvals, u, params))
     lu.holds_jacobian = lu.lags_jacobian
@@ -654,7 +674,7 @@ def _newton_polish(
     delta = lu.solve(grad)
     damp = 1.0
     for _ in range(8):
-        step = trial(u - damp * delta, 0.99 * resid)
+        step = trial(u - damp * delta)
         if step is not None:
             return step
         damp *= 0.5
@@ -725,7 +745,7 @@ def descend(
         if result.iterations >= cfg.max_outer:
             break
         if newton:
-            step = _newton_polish(g, vvals, u, grad, resid, params, precond, lu, result)
+            step = _newton_polish(g, vvals, u, grad, resid, params, precond, lu, result, cfg.descent_tol)
             if step is None:
                 result.stagnated = True
                 break
@@ -869,6 +889,7 @@ def continue_to_limit(
         report.trajectory.append(field)
         report.newton_steps += res.newton_steps
         report.factorizations += res.factorizations
+        report.discarded_trials += res.discarded_trials
 
     try:
         par = replace(params, lam=lams[0])

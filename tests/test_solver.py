@@ -19,7 +19,7 @@ from lse.energy import (
     norm_w1p,
 )
 from lse.grid import Field, _gradient_components, make_grid, norm_h1v, quotient_grid
-from lse.multiplicity import structured_seed
+from lse.multiplicity import find_k_solutions, structured_seed
 from lse.solver import (
     CollapseError,
     ContinuationSchedule,
@@ -588,18 +588,17 @@ class TestNewtonFinish:
         assert len(iterates) == fresh.newton_steps > lagged.factorizations
         assert lagged.records[-1].energy == pytest.approx(fresh.records[-1].energy, rel=1e-12)
 
-    @pytest.mark.parametrize("jacobian_scale", [1.0, 0.4])
-    def test_chord_and_newton_steps_lower_the_residual(self, superlu2d, monkeypatch, jacobian_scale):
-        # with the Jacobian scaled by 0.4 every undamped chord step is 2.5
-        # times too long, so each is rejected and the Jacobian refactored at
-        # the same iterate; at scale 1 chord steps are kept
+    # the owner's calls per step: a chord trial is a solve before any factor
+    KEPT, NEWTON, REFACTORED = ("solve",), ("factor", "solve"), ("solve", "factor", "solve")
+
+    def stepwise(self, superlu2d, iterates, params):
+        """The descent from the Gausson on ``superlu2d`` with its own step
+        owner, the start of each of its steps, the owner's calls per step
+        and the iterates of its Jacobians, and the residuals of the starts
+        and of the final field."""
         g, precond, events = superlu2d
-        iterates = self.newton_iterates(monkeypatch, jacobian_scale=jacobian_scale)
-        params = PerturbationParams(lam=0.1, p=1.5)
 
         def run(**budget):
-            """The descent from the Gausson with its own step owner, and the
-            owner's calls and the Jacobian iterates it made."""
             events.clear()
             iterates.clear()
             res = descend(g, V_HARMONIC, gausson_field(g), params, MountainPassConfig(**budget), precond=precond)
@@ -616,21 +615,110 @@ class TestNewtonFinish:
             starts.append(cut.field.values)
             logs.append(log)
         assert np.array_equal(starts.pop(), res.field.values)
-        assert res.converged
         assert res.newton_steps == res.iterations == len(starts)
-        # the owner's calls per step: a chord trial is a solve before any factor
         steps = [tuple(b[len(a):]) for a, b in zip(logs, logs[1:])]
-        kept, newton, refactored = ("solve",), ("factor", "solve"), ("solve", "factor", "solve")
-        assert steps[0] == newton and set(steps) <= {kept, newton, refactored}
-        if jacobian_scale == 1.0:
-            assert steps.count(kept) >= 2
-        else:
-            assert steps[1:] == [refactored] * (res.newton_steps - 1) and res.newton_steps >= 3
         # every factor is of the Jacobian at its step's iterate
         factored = [u for u, step in zip(starts, steps) if "factor" in step]
         assert all(np.array_equal(a, b) for a, b in zip(jacobians, factored, strict=True))
         resid = [self.residual(g, precond, params, u) for u in starts + [res.field.values]]
+        return res, steps, resid
+
+    @pytest.mark.parametrize("jacobian_scale", [1.0, 0.4])
+    def test_chord_and_newton_steps_lower_the_residual(self, superlu2d, monkeypatch, jacobian_scale):
+        # with the Jacobian scaled by 0.4 every undamped chord step is 2.5
+        # times too long, so each is rejected and the Jacobian refactored at
+        # the same iterate; at scale 1 chord steps are kept
+        iterates = self.newton_iterates(monkeypatch, jacobian_scale=jacobian_scale)
+        res, steps, resid = self.stepwise(superlu2d, iterates, PerturbationParams(lam=0.1, p=1.5))
+        assert res.converged
+        assert steps[0] == self.NEWTON and set(steps) <= {self.KEPT, self.NEWTON, self.REFACTORED}
+        if jacobian_scale == 1.0:
+            assert steps.count(self.KEPT) >= 2
+        else:
+            assert steps[1:] == [self.REFACTORED] * (res.newton_steps - 1) and res.newton_steps >= 3
         assert all(b < a for a, b in zip(resid, resid[1:]))
+
+    def test_slow_chord_step_is_kept_and_refactors_at_its_iterate(self, superlu2d, monkeypatch):
+        # with the Jacobian scaled by 2.5 every undamped step is 0.4 times
+        # too short and cuts the residual by about 0.6: a chord step then
+        # lowers it by 1% but not below theta, so it is kept and the next
+        # step factors the Jacobian at the iterate it reached
+        iterates = self.newton_iterates(monkeypatch, jacobian_scale=2.5)
+        res, steps, resid = self.stepwise(superlu2d, iterates, PerturbationParams(lam=0.1, p=1.5))
+        assert res.converged and res.discarded_trials == 0
+        assert res.newton_steps >= 5
+        assert steps[::2] == [self.NEWTON] * len(steps[::2])
+        assert steps[1::2] == [self.KEPT] * len(steps[1::2])
+        chords = [b / a for (a, b), step in zip(zip(resid, resid[1:]), steps) if step == self.KEPT]
+        assert all(solver_mod._CHORD_THETA < ratio < 0.99 for ratio in chords)
+
+    def test_chord_step_that_meets_the_tolerance_keeps_its_factor(self, superlu2d, monkeypatch):
+        # the kept chord step of the scaled run above (residual ratio about
+        # 0.6) ends a descent whose tolerance is its residual: no factor
+        # follows it, and the owner still holds the Jacobian for a next stage
+        g, precond, events = superlu2d
+        self.newton_iterates(monkeypatch, jacobian_scale=2.5)
+        params = PerturbationParams(lam=0.1, p=1.5)
+
+        def run(cfg, **kwargs):
+            return descend(g, V_HARMONIC, gausson_field(g), params, cfg, precond=precond, **kwargs)
+
+        first, tol = run(MountainPassConfig(max_outer=1)).residual, run(MountainPassConfig(max_outer=2)).residual
+        assert solver_mod._CHORD_THETA * first < tol < first
+        events.clear()
+        lu = solver_mod._step_factorization(g)
+        res = run(MountainPassConfig(descent_tol=tol), step_lu=lu)
+        assert res.converged and res.newton_steps == res.iterations == 2
+        assert res.residual == tol and res.discarded_trials == 0
+        assert events == list(self.NEWTON + self.KEPT)
+        assert lu.holds_jacobian
+
+    @pytest.mark.parametrize("jacobian_scale", [1.0, 0.4, 2.5])
+    def test_discarded_trials_are_the_trials_not_kept(self, superlu2d, monkeypatch, jacobian_scale):
+        # every trial evaluates one preconditioned residual; the descent from
+        # the Gausson starts in the Newton finish, after one more
+        g, precond, _ = superlu2d
+        self.newton_iterates(monkeypatch, jacobian_scale=jacobian_scale)
+        evaluations = []
+        h1v = solver_mod._h1v_raw
+
+        def counted(*args):
+            evaluations.append(args)
+            return h1v(*args)
+
+        monkeypatch.setattr(solver_mod, "_h1v_raw", counted)
+        params = PerturbationParams(lam=0.1, p=1.5)
+        res = descend(g, V_HARMONIC, gausson_field(g), params, MountainPassConfig(), precond=precond)
+        assert res.converged and res.newton_steps == res.iterations
+        assert res.discarded_trials == len(evaluations) - 1 - res.newton_steps
+        assert (res.discarded_trials > 0) == (jacobian_scale == 0.4)
+
+    def test_acceptance_gausson_factors_seven_times(self, monkeypatch):
+        # the 2d acceptance Gausson (n = 190, L = 6, V = 2|x|^2 + s with the
+        # shift of the benchmark's seed 5), solved on its 95^2 quotient grid:
+        # 6 Newton factorizations and the preconditioner's, no trial thrown
+        # away, and the energy of a solve that factors at every Newton step
+        calls = []
+        splu = solver_mod.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod.spla, "splu", counted)
+        g = make_grid(2, 6.0, 190)
+        args = (
+            g, Shifted(Harmonic(2.0), 0.332863), ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5),
+            MountainPassConfig(), 1,
+        )
+        [(_, lagged_energy, lagged)] = find_k_solutions(*args)
+        assert len(calls) == 7
+        assert lagged.factorizations == 6 and lagged.discarded_trials == 0
+        assert lagged.records[-1].resid_precond <= MountainPassConfig().descent_tol
+        monkeypatch.setattr(solver_mod._Factorization, "lags_jacobian", False)
+        [(_, fresh_energy, fresh)] = find_k_solutions(*args)
+        assert fresh.factorizations == fresh.newton_steps > lagged.factorizations
+        assert lagged_energy == pytest.approx(fresh_energy, rel=1e-12)
 
     def test_reports_sum_the_stage_counts(self, setup2d, monkeypatch):
         # banded grids refactor at every Newton step, so the Newton matrix
