@@ -66,9 +66,6 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "quotient_grid",
-    "fold",
-    "unfold",
     "norm_h1v",
 ]
 

@@ -3,8 +3,13 @@
 The configuration format is flat ``key=value`` lines with ``#`` comments; the
 key set is fixed and validated eagerly so a bad run dies before any compute.
 ``parse_config`` checks each value's type; the range of a grid, ``p``,
-schedule or descent key is checked by the object that owns it, which it
-builds and whose ValueError it reports as a ConfigError naming the keys.
+schedule or descent key is checked by the object that owns it, which the
+``RunSpec`` method of that object builds (the one place a key maps to its
+owner's argument) and whose ValueError it reports as a ConfigError naming
+the keys.  ``run`` and ``lse verify`` build their objects through the same
+methods and share one path: ``_setup`` (grid and validated potential, or
+``FAIL config``), ``_run_checks`` and ``_failed_gate`` (``FAIL verify``),
+so a config defect fails both commands at the same stage with one line.
 Field files use the self-describing ``LSEF1`` layout: a magic line, a header
 line ``dim points half_width``, then the raw little-endian float64 payload in
 row-major order.  All output files are written to a temporary file in the
@@ -76,8 +81,10 @@ class FieldFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully validated run description; every field satisfies the owning
-    module's preconditions by construction."""
+    """Fully validated run description, as ``parse_config`` returns it:
+    each field satisfies the preconditions of the object that owns it.
+    The methods below build those objects, the one place a key maps to
+    its owner's argument."""
 
     dim: int
     half_width: float
@@ -93,6 +100,20 @@ class RunSpec:
     rng_seed: int
     output_dir: str
     emit: frozenset[str]
+
+    def grid(self) -> Grid:
+        return make_grid(self.dim, self.half_width, self.points)
+
+    def params0(self) -> PerturbationParams:
+        """The lam = 0 params: the solve takes each lam from the schedule,
+        so one lam = 0 params serves it and the checks."""
+        return PerturbationParams(lam=0.0, p=self.p)
+
+    def schedule(self) -> ContinuationSchedule:
+        return ContinuationSchedule(lambda_start=self.lambda_start, ratio=self.lambda_ratio, lambda_min=self.lambda_min)
+
+    def descent(self) -> MountainPassConfig:
+        return MountainPassConfig(descent_tol=self.tol_grad, max_outer=self.max_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +142,11 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
-def _check_owned(keys: tuple[str, ...], owner, *args) -> None:
-    """Build ``owner(*args)``, the object that checks the ranges of
-    ``keys``, and turn its ValueError into a ConfigError naming them."""
+def _check_owned(keys: tuple[str, ...], owner) -> None:
+    """Build ``owner()``, the object that checks the ranges of ``keys``,
+    and turn its ValueError into a ConfigError naming them."""
     try:
-        owner(*args)
+        owner()
     except ValueError as exc:
         names = ", ".join(map(repr, keys))
         raise ConfigError(f"key{'s' if len(keys) > 1 else ''} {names}: {exc}") from None
@@ -188,55 +209,34 @@ def parse_config(text: str) -> RunSpec:
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
 
-    dim = _parse_int("dim", values["dim"])
-    half_width = _parse_float("half_width", values["half_width"])
-    points = _parse_int("points", values["points"])
-    _check_owned(("dim", "half_width", "points"), make_grid, dim, half_width, points)
-    build_potential(values["potential"])
-    p = _parse_float("p", values["p"])
-    _check_owned(("p",), PerturbationParams, 0.0, p)
-    lambda_start = _parse_float("lambda_start", values["lambda_start"])
-    lambda_ratio = _parse_float("lambda_ratio", values["lambda_ratio"])
-    lambda_min = _parse_float("lambda_min", values["lambda_min"])
-    _check_owned(
-        ("lambda_start", "lambda_ratio", "lambda_min"), ContinuationSchedule, lambda_start, lambda_ratio, lambda_min
-    )
-    tol_grad = _parse_float("tol_grad", values["tol_grad"])
-    max_outer = _parse_int("max_outer", values["max_outer"])
-    _check_owned(("tol_grad", "max_outer"), MountainPassConfig, tol_grad, max_outer)
-    k_solutions = _parse_int("k_solutions", values["k_solutions"], minimum=1)
-    rng_seed = _parse_int("rng_seed", values["rng_seed"], minimum=0)
-    output_dir = values["output_dir"]
-    if not output_dir:
-        raise ConfigError("key 'output_dir': must be a nonempty path")
-
-    emit_raw = values["emit"]
-    emit: set[str] = set()
-    if emit_raw:
-        for token in emit_raw.split(","):
-            token = token.strip()
-            if token not in _EMIT_CHOICES:
-                raise ConfigError(
-                    f"key 'emit': unknown target {token!r}; allowed: {', '.join(sorted(_EMIT_CHOICES))}"
-                )
-            emit.add(token)
-
-    return RunSpec(
-        dim=dim,
-        half_width=half_width,
-        points=points,
+    emit = [token.strip() for token in values["emit"].split(",")] if values["emit"] else []
+    spec = RunSpec(
+        dim=_parse_int("dim", values["dim"]),
+        half_width=_parse_float("half_width", values["half_width"]),
+        points=_parse_int("points", values["points"]),
         potential=values["potential"],
-        p=p,
-        lambda_start=lambda_start,
-        lambda_ratio=lambda_ratio,
-        lambda_min=lambda_min,
-        tol_grad=tol_grad,
-        max_outer=max_outer,
-        k_solutions=k_solutions,
-        rng_seed=rng_seed,
-        output_dir=output_dir,
+        p=_parse_float("p", values["p"]),
+        lambda_start=_parse_float("lambda_start", values["lambda_start"]),
+        lambda_ratio=_parse_float("lambda_ratio", values["lambda_ratio"]),
+        lambda_min=_parse_float("lambda_min", values["lambda_min"]),
+        tol_grad=_parse_float("tol_grad", values["tol_grad"]),
+        max_outer=_parse_int("max_outer", values["max_outer"]),
+        k_solutions=_parse_int("k_solutions", values["k_solutions"], minimum=1),
+        rng_seed=_parse_int("rng_seed", values["rng_seed"], minimum=0),
+        output_dir=values["output_dir"],
         emit=frozenset(emit),
     )
+    _check_owned(("dim", "half_width", "points"), spec.grid)
+    build_potential(spec.potential)
+    _check_owned(("p",), spec.params0)
+    _check_owned(("lambda_start", "lambda_ratio", "lambda_min"), spec.schedule)
+    _check_owned(("tol_grad", "max_outer"), spec.descent)
+    if not spec.output_dir:
+        raise ConfigError("key 'output_dir': must be a nonempty path")
+    for token in emit:
+        if token not in _EMIT_CHOICES:
+            raise ConfigError(f"key 'emit': unknown target {token!r}; allowed: {', '.join(sorted(_EMIT_CHOICES))}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +260,10 @@ def _atomic_write_text(path: str, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_field(path: str, g: Grid, u: Field) -> None:
-    """Persist a field in the LSEF1 layout (atomic rename on completion)."""
-    if u.grid != g:
-        raise FieldFormatError(
-            f"dimension mismatch: field sampled on {u.grid.dim}d n={u.grid.points_per_dim}, "
-            f"writing header for {g.dim}d n={g.points_per_dim}"
-        )
+def write_field(path: str, u: Field) -> None:
+    """Persist a field, with the header of its own grid, in the LSEF1
+    layout (atomic rename on completion)."""
+    g = u.grid
     header = f"{g.dim} {g.points_per_dim} {float(g.half_width)!r}\n".encode("ascii")
     payload = np.ascontiguousarray(u.values, dtype="<f8").tobytes()
     _atomic_write_bytes(path, _MAGIC + header + payload)
@@ -306,34 +303,59 @@ def read_field(path: str) -> tuple[Grid, Field]:
 # orchestration
 
 
-def _gradient_check(g: Grid, potential, params0: PerturbationParams, spec: RunSpec) -> CheckResult:
-    """The gradient check at the run's lam = 0 ``params0``, which depends
-    on the run, not on a solution: its fields are random draws seeded by
-    ``rng_seed``."""
-    return check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed)
+def _setup(spec: RunSpec) -> tuple[Grid, object] | int:
+    """The run's grid and validated potential, or the exit code of the
+    ``FAIL config`` line printed when they cannot be built: an unreadable
+    or mismatched tabulated file, V not positive or not finite on the grid,
+    or a grid too large to allocate."""
+    try:
+        g = spec.grid()
+        potential = build_potential(spec.potential)
+        validate_potential(g, potential)
+    except (ValueError, OSError, MemoryError) as exc:
+        return _fail("config", str(exc))
+    return g, potential
 
 
-def _run_checks(
-    g: Grid, potential, u: Field, params0: PerturbationParams, spec: RunSpec, gradient: CheckResult
-) -> list[CheckResult]:
-    """Every check of one accepted solution at the run's lam = 0
-    ``params0``, in the order ``checks.csv`` and ``lse verify`` list them;
-    ``gradient`` is the run's ``_gradient_check``."""
-    nehari_tol = 20.0 * spec.tol_grad * norm_h1v(g, potential, u)
-    return [
-        check_nehari(g, potential, u, tolerance=nehari_tol),
-        check_energy_identity(g, potential, u, params0),
-        check_scaling(g, potential, u, 0.3),
-        check_log_sobolev(g, u, 1.0),
-        check_linf(u),
-        gradient,
-    ]
+def _run_checks(g: Grid, potential, to_check: list[Field], spec: RunSpec) -> list[list[CheckResult]] | int:
+    """Every check of each field at the run's lam = 0 params, in the order
+    ``checks.csv`` and ``lse verify`` list them, or the exit code of the
+    ``FAIL verify`` line printed when a check cannot be computed.
+
+    The gradient check depends on the run, not on a field (its fields are
+    random draws seeded by ``rng_seed``), so it runs once and every field
+    lists its result."""
+    params0 = spec.params0()
+    try:
+        gradient = check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed)
+        return [
+            [
+                check_nehari(g, potential, u, tolerance=20.0 * spec.tol_grad * norm_h1v(g, potential, u)),
+                check_energy_identity(g, potential, u, params0),
+                check_scaling(g, potential, u, 0.3),
+                check_log_sobolev(g, u, 1.0),
+                check_linf(u),
+                gradient,
+            ]
+            for u in to_check
+        ]
+    except (ValueError, MemoryError) as exc:
+        return _fail("verify", str(exc))
 
 
-def _failed_gate(results: list[CheckResult]) -> CheckResult | None:
-    """The first check of ``_GATE_CHECKS`` that ``results`` fail, if any."""
-    named = {res.name: res for res in results}
-    return next((named[gate] for gate in _GATE_CHECKS if not named[gate].passed), None)
+def _failed_gate(all_checks: list[list[CheckResult]], what: str) -> int:
+    """Print the ``FAIL verify`` line of the first field, in order, that
+    fails a check of ``_GATE_CHECKS``, and return the exit code (0 when
+    none does); ``what`` names field j, e.g. ``"solution {j}"``."""
+    for j, results in enumerate(all_checks, start=1):
+        named = {res.name: res for res in results}
+        res = next((named[gate] for gate in _GATE_CHECKS if not named[gate].passed), None)
+        if res is not None:
+            return _fail(
+                "verify",
+                f"{what.format(j=j)} failed {res.name} (margin={res.margin!r}, tolerance={res.tolerance!r})",
+            )
+    return 0
 
 
 def _diagnostics_text(solutions) -> str:
@@ -382,19 +404,10 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
     stage that runs out of memory (a grid too large to allocate) fails
     with that stage's ``FAIL`` line, like any other error of it.
     """
-    try:
-        g = make_grid(spec.dim, spec.half_width, spec.points)
-        potential = build_potential(spec.potential)
-        validate_potential(g, potential)
-        # the solve takes each lam from the schedule, so one lam = 0 params
-        # serves it and the checks
-        params0 = PerturbationParams(lam=0.0, p=spec.p)
-        sched = ContinuationSchedule(
-            lambda_start=spec.lambda_start, ratio=spec.lambda_ratio, lambda_min=spec.lambda_min
-        )
-        cfg = MountainPassConfig(descent_tol=spec.tol_grad, max_outer=spec.max_outer)
-    except (ValueError, OSError, MemoryError) as exc:
-        return _fail("config", str(exc))
+    setup = _setup(spec)
+    if isinstance(setup, int):
+        return setup
+    g, potential = setup
 
     try:
         os.makedirs(spec.output_dir, exist_ok=True)
@@ -402,7 +415,7 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
         return _fail("io", str(exc))
 
     try:
-        solutions = find_k_solutions(g, potential, sched, params0, cfg, spec.k_solutions)
+        solutions = find_k_solutions(g, potential, spec.schedule(), spec.params0(), spec.descent(), spec.k_solutions)
     except (SolverError, ValueError, MemoryError) as exc:
         return _fail("solve", str(exc))
     if len(solutions) < spec.k_solutions:
@@ -410,16 +423,14 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
             "solve", f"found {len(solutions)} of {spec.k_solutions} requested solutions"
         )
 
-    try:
-        gradient = _gradient_check(g, potential, params0, spec)
-        all_checks = [_run_checks(g, potential, u, params0, spec, gradient) for u, _, _ in solutions]
-    except (ValueError, MemoryError) as exc:
-        return _fail("verify", str(exc))
+    all_checks = _run_checks(g, potential, [u for u, _, _ in solutions], spec)
+    if isinstance(all_checks, int):
+        return all_checks
 
     try:
         if "fields" in spec.emit:
             for j, (u, _, _) in enumerate(solutions, start=1):
-                write_field(os.path.join(spec.output_dir, f"u_{j}.lsef"), g, u)
+                write_field(os.path.join(spec.output_dir, f"u_{j}.lsef"), u)
         if "diagnostics" in spec.emit:
             _atomic_write_text(os.path.join(spec.output_dir, "diagnostics.csv"), _diagnostics_text(solutions))
         if "checks" in spec.emit:
@@ -436,15 +447,7 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
                 f"solution {j}: energy={energy!r} "
                 f"resid_raw={report.records[-1].resid_raw!r} checks={verdict}"
             )
-
-    for j, results in enumerate(all_checks, start=1):
-        res = _failed_gate(results)
-        if res is not None:
-            return _fail(
-                "verify",
-                f"solution {j} failed {res.name} (margin={res.margin!r}, tolerance={res.tolerance!r})",
-            )
-    return 0
+    return _failed_gate(all_checks, "solution {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -473,35 +476,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args.config)
     if isinstance(spec, int):
         return spec
+    setup = _setup(spec)
+    if isinstance(setup, int):
+        return setup
+    g, potential = setup
     try:
-        g, u = read_field(args.field)
+        field_grid, u = read_field(args.field)
     except (OSError, FieldFormatError) as exc:
         return _fail("io", str(exc))
-    config_grid = make_grid(spec.dim, spec.half_width, spec.points)
-    if g != config_grid:
+    if field_grid != g:
         return _fail(
             "config",
-            f"grid mismatch: field is {g.dim}d n={g.points_per_dim} L={g.half_width!r}, "
-            f"config wants {config_grid.dim}d n={config_grid.points_per_dim} "
-            f"L={config_grid.half_width!r}",
+            f"grid mismatch: field is {field_grid.dim}d n={field_grid.points_per_dim} L={field_grid.half_width!r}, "
+            f"config wants {g.dim}d n={g.points_per_dim} L={g.half_width!r}",
         )
-    try:
-        potential = build_potential(spec.potential)
-        validate_potential(g, potential)
-        params0 = PerturbationParams(lam=0.0, p=spec.p)
-        results = _run_checks(g, potential, u, params0, spec, _gradient_check(g, potential, params0, spec))
-    except ValueError as exc:
-        return _fail("verify", str(exc))
+    all_checks = _run_checks(g, potential, [u], spec)
+    if isinstance(all_checks, int):
+        return all_checks
     if not args.quiet:
         print(_CHECK_HEADER)
-        for res in results:
+        for res in all_checks[0]:
             print(_check_row(res))
-    res = _failed_gate(results)
-    if res is not None:
-        return _fail(
-            "verify", f"field failed {res.name} (margin={res.margin!r}, tolerance={res.tolerance!r})"
-        )
-    return 0
+    return _failed_gate(all_checks, "field")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:

@@ -92,7 +92,6 @@ __all__ = [
     "SolveReport",
     "DescentResult",
     "MountainPassResult",
-    "Preconditioner",
     "SolverError",
     "GeometryFailure",
     "CollapseError",
@@ -413,7 +412,10 @@ def _linearized_matrix(
     ``_p_slope``) and (p-1) w(u), with w = ``_p_weights``, for the p-mass
     term.  Without the latter, the |u|^(p-1) nonlinearity makes
     preconditioned descent oscillate around the nearly-sparse tail
-    instead of settling on it.  Filled into
+    instead of settling on it.  (p-1) w(u) is that term's curvature in the
+    limit eps -> 0, not the derivative ``_p_slope(u)`` of its flux w(u) u:
+    the two agree where |u| >> eps and differ by up to a factor 1/(p-1)
+    where |u| is near eps or below.  Filled into
     ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.  The
     first edge of each axis enters the face diagonal with ``Grid.first_edge``
     times its coefficient, as d(first edge)/du = first_edge / h: once
@@ -436,13 +438,20 @@ def _linearized_matrix(
 
 
 def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
-    """True Jacobian of el_gradient at u (sparse, symmetric, indefinite), as
-    its values on ``_stencil_pattern``.
+    """Jacobian of el_gradient at u (sparse, symmetric, indefinite), as
+    its values on ``_stencil_pattern``: exact at lam = 0, and at lam > 0
+    exact but for the p-mass term's diagonal.
 
     Equals the SPD step operator minus the zeroth-order surrogate (the +1)
     and minus the log-term curvature log u^2 + 2, taken off its diagonal
     before the fill; at grid zeros of u the log curvature is a large
-    positive diagonal, which correctly freezes those entries.
+    positive diagonal, which correctly freezes those entries.  The p-mass
+    term enters with the step operator's lam (p-1) w(u), where its flux
+    lam w(u) u has the derivative lam ``_p_slope(u)``: up to 1/(p-1) times
+    larger where |u| is near eps = 1e-10 or below (by more than 1% below
+    1e-9 at p = 1.5), which the Gaussian tails of a large box reach (half
+    the points of the 2d L = 6, n = 190 Gausson).  A single phi_eps with
+    its derivatives (ROADMAP item 12) would make the matrix exact.
     """
     return _linearized_matrix(g, vvals, u, params, diag_shift=3.0 + np.log(u * u + 1e-300))
 
@@ -648,7 +657,7 @@ def _newton_polish(
     ``_CHORD_THETA`` times ``resid`` or reaches the descent tolerance
     ``tol``; otherwise the next step factors the Jacobian at the kept
     iterate.  A chord trial that is not kept, or no held factor, factors the
-    true Jacobian ``_newton_matrix`` at u into ``lu`` (kept for later chord
+    Jacobian ``_newton_matrix`` at u into ``lu`` (kept for later chord
     steps if ``lu.lags_jacobian``, counted in ``result.factorizations``) and
     halves the Newton step (at most seven times) until a trial is kept.
     """

@@ -7,13 +7,16 @@ Two margin conventions are used deliberately:
 * identity checks (``nehari``, ``energy_identity``, ``scaling``,
   ``gradient_fd``) report a *relative* defect, normalised by ``1 + |scale|``
   so the margin is meaningful for both tiny and huge fields; they pass when
-  the margin is at most the tolerance;
+  the margin is at most the tolerance (``CheckResult.identity``);
 * inequality checks (``log_sobolev``, ``linf``, ``geometry``) report the
   signed slack of the inequality without normalisation, so a large field
-  cannot mask a violation; they pass when the margin is nonnegative
-  (``geometry``: positive).
+  cannot mask a violation; they pass when the margin is nonnegative, with
+  tolerance 0 (``CheckResult.inequality``; ``geometry``: positive).
 
-The CLI runs six of them on every accepted solution, in the order of
+Each pass rule is stated once, in its ``CheckResult`` constructor, and
+every check but ``geometry`` builds its result through one of the two.
+The CLI runs six of the checks on every accepted solution of ``lse solve``
+and on the field of ``lse verify``, in the order of
 ``lse.io_cli._run_checks``, which is the order ``checks.csv`` lists them.
 The seventh, ``geometry``, probes the perturbed functional near 0 rather
 than a solution, and the CLI does not run it.
@@ -86,6 +89,16 @@ class CheckResult:
         if not np.isfinite(self.margin):
             raise ValueError(f"check {self.name!r} produced non-finite margin {self.margin}")
 
+    @classmethod
+    def identity(cls, name: str, margin: float, tolerance: float) -> CheckResult:
+        """An identity's relative defect, which passes when at most ``tolerance``."""
+        return cls(name, margin, tolerance, margin <= tolerance)
+
+    @classmethod
+    def inequality(cls, name: str, margin: float) -> CheckResult:
+        """An inequality's signed slack, which passes when nonnegative."""
+        return cls(name, margin, 0.0, margin >= 0.0)
+
 
 def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> CheckResult:
     """Defect of the critical-point identity grad+potential energy = log moment.
@@ -100,12 +113,7 @@ def check_nehari(g: Grid, potential, u: Field, *, tolerance: float = 1e-3) -> Ch
     lhs = _grad_sq(g, u.values) + _inner(g, vals, u.values * u.values)
     rhs = _integral(g, log_density(u.values))
     margin = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return CheckResult(
-        name="nehari",
-        margin=margin,
-        tolerance=tolerance,
-        passed=margin <= tolerance,
-    )
+    return CheckResult.identity("nehari", margin, tolerance)
 
 
 def check_energy_identity(
@@ -129,12 +137,7 @@ def check_energy_identity(
     lhs = 2.0 * parts.total - _inner(g, grad.values, u.values)
     rhs = (2.0 - params.p) / params.p * params.lam * (parts.p_grad + parts.p_mass) + parts.mass
     margin = abs(lhs - rhs) / (1.0 + abs(rhs))
-    return CheckResult(
-        name="energy_identity",
-        margin=margin,
-        tolerance=tolerance,
-        passed=margin <= tolerance,
-    )
+    return CheckResult.identity("energy_identity", margin, tolerance)
 
 
 def check_scaling(
@@ -160,12 +163,7 @@ def check_scaling(
     defect = float(np.max(np.abs(lhs.values - rhs.values / mu)))
     scale = float(np.max(np.abs(lhs.values)))
     margin = defect / (1.0 + scale)
-    return CheckResult(
-        name="scaling",
-        margin=margin,
-        tolerance=tolerance,
-        passed=margin <= tolerance,
-    )
+    return CheckResult.identity("scaling", margin, tolerance)
 
 
 def check_log_sobolev(g: Grid, u: Field, a: float) -> CheckResult:
@@ -185,12 +183,7 @@ def check_log_sobolev(g: Grid, u: Field, a: float) -> CheckResult:
     lhs = _integral(g, log_density(u.values))
     rhs = (a * a / np.pi) * _grad_sq(g, u.values) + (np.log(mass) - g.dim * (1.0 + np.log(a))) * mass
     margin = float(rhs - lhs + 1e-8 * (1.0 + abs(lhs)))
-    return CheckResult(
-        name="log_sobolev",
-        margin=margin,
-        tolerance=0.0,
-        passed=margin >= 0.0,
-    )
+    return CheckResult.inequality("log_sobolev", margin)
 
 
 def check_linf(u: Field, cap: float = 1e3) -> CheckResult:
@@ -198,13 +191,7 @@ def check_linf(u: Field, cap: float = 1e3) -> CheckResult:
     if cap <= 0.0:
         raise ValueError(f"amplitude cap must be positive, got {cap}")
     peak = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    margin = cap - peak
-    return CheckResult(
-        name="linf",
-        margin=margin,
-        tolerance=0.0,
-        passed=margin >= 0.0,
-    )
+    return CheckResult.inequality("linf", cap - peak)
 
 
 def check_geometry(
@@ -261,12 +248,7 @@ def check_gradient_fd(
     worst = 0.0
     for defect in _fd_defects(g, potential.evaluate(g).values, params, trials, rng):
         worst = max(worst, defect)
-    return CheckResult(
-        name="gradient_fd",
-        margin=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-    )
+    return CheckResult.identity("gradient_fd", worst, tolerance)
 
 
 def _fd_defects(g: Grid, vvals: np.ndarray, params: PerturbationParams, trials: int, rng):

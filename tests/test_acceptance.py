@@ -221,7 +221,7 @@ def test_criterion_11_determinism_and_io(tmp_path):
     for path in fields:
         g, u = read_field(str(path))
         copy = tmp_path / ("rt_" + path.name)
-        write_field(str(copy), g, u)
+        write_field(str(copy), u)
         assert copy.read_bytes() == path.read_bytes()
         _, u2 = read_field(str(copy))
         assert u2.values.tobytes() == u.values.tobytes()

@@ -1,5 +1,6 @@
 """The package imports no third-party module beyond numpy and three scipy
-modules (ROADMAP item 6), and every name it exports exists."""
+modules (ROADMAP item 6), every name it exports exists, and each rule of
+the program has one home."""
 
 from __future__ import annotations
 
@@ -140,3 +141,53 @@ def test_only_verify_defines_checks():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
                 definers.add(path.name)
     assert definers == {"verify.py"}, definers
+
+
+# lse.__all__ as it stood before the package re-exported its modules' own
+PUBLIC = [
+    "CheckResult", "CollapseError", "ConfigError", "ContinuationSchedule", "ConvergenceFailure",
+    "DescentResult", "EnergyParts", "Field", "FieldFormatError", "GeometryFailure", "Grid", "Harmonic",
+    "LambdaRecord", "MountainPassConfig", "MountainPassResult", "PerturbationParams", "Quartic", "RunSpec",
+    "Shifted", "SolveReport", "SolverError", "Tabulated", "check_energy_identity", "check_geometry",
+    "check_gradient_fd", "check_linf", "check_log_sobolev", "check_nehari", "check_scaling",
+    "continue_to_limit", "descend", "el_gradient", "energy_parts", "find_k_solutions", "log_density",
+    "log_nonlin", "main", "make_grid", "mountain_pass", "norm_h1v", "norm_w1p", "parse_config",
+    "read_field", "residual_original", "run", "structured_seed", "validate_potential", "write_field",
+]
+
+
+def test_the_package_exports_the_union_of_its_modules():
+    # the public API is stated once, in each module's __all__
+    modules = [importlib.import_module(f"lse.{path.stem}") for path in SOURCES if not path.stem.startswith("__")]
+    assert len(modules) == 6
+    union = set().union(*(module.__all__ for module in modules))
+    assert lse.__all__ == sorted(union) == PUBLIC
+
+
+def _calls_by_scope(path: Path, names: set[str]) -> dict[str, set[str]]:
+    """Per name, the enclosing ``Class.method`` or ``function`` of each
+    call to it in one source file."""
+    found: dict[str, set[str]] = {name: set() for name in names}
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in found:
+                found[child.func.id].add(scope)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_only_runspec_maps_config_keys_to_their_owners():
+    # each key's owner is built in one RunSpec method, which parse_config,
+    # run and lse verify all call; read_field builds the grid of a file
+    path = next(path for path in SOURCES if path.name == "io_cli.py")
+    owners = {"PerturbationParams", "ContinuationSchedule", "MountainPassConfig", "make_grid"}
+    assert _calls_by_scope(path, owners) == {
+        "PerturbationParams": {"RunSpec.params0"},
+        "ContinuationSchedule": {"RunSpec.schedule"},
+        "MountainPassConfig": {"RunSpec.descent"},
+        "make_grid": {"RunSpec.grid", "read_field"},
+    }

@@ -60,6 +60,31 @@ class TestRegistry:
             CheckResult(name="nehari", margin=float("nan"), tolerance=1.0, passed=True)
 
 
+class TestPassRules:
+    def test_identity_passes_up_to_its_tolerance(self):
+        tol = 1e-10
+        assert CheckResult.identity("nehari", tol, tol).passed
+        above = CheckResult.identity("nehari", float(np.nextafter(tol, np.inf)), tol)
+        assert not above.passed and above.tolerance == tol
+
+    @pytest.mark.parametrize("margin", [0.0, -0.0])
+    def test_inequality_passes_at_zero_slack(self, margin):
+        res = CheckResult.inequality("linf", margin)
+        assert res.passed and res.tolerance == 0.0
+
+    def test_inequality_fails_below_zero(self):
+        res = CheckResult.inequality("linf", -5e-324)
+        assert not res.passed and res.tolerance == 0.0
+
+    @pytest.mark.parametrize(
+        "build", [lambda m: CheckResult.identity("nehari", m, 1.0), lambda m: CheckResult.inequality("linf", m)],
+        ids=["identity", "inequality"],
+    )
+    def test_nan_margin_still_raises(self, build):
+        with pytest.raises(ValueError, match="non-finite margin"):
+            build(float("nan"))
+
+
 class TestNehari:
     def test_gausson_discretization_margin(self, gfine, gausson):
         # closed-form critical point: margin is pure O(h^2) stencil error
