@@ -23,9 +23,10 @@ share of the identity holds only up to lam * |sum (w(u) eps^2 - eps^p)| *
 vol, at most lam * eps^p times the box volume, not to round-off.
 
 Only this module knows the perturbation term: eps, the weight and its
-slope ``_p_slope`` (which the solver's step operator takes from here), the
-range of p and ``norm_w1p``, the unregularized norm the p-terms are tested
-against.
+slope ``_p_slope`` (the solver's step and Newton operators take both
+p-terms' curvature from here, as they take the log term's from
+``_log_abs``), the range of p and ``norm_w1p``, the unregularized norm the
+p-terms are tested against.
 
 The raw kernels ``_parts_raw`` and ``_gradient_raw`` take one flat field or
 a (B, N) batch of them, and give each row the bytes of its call alone, so
@@ -176,7 +177,7 @@ def validate_potential(g: Grid, potential) -> float:
 
 
 # eps of the weight (t^2 + eps^2)^((p-2)/2) of both p-terms; the solver's
-# step operator reads it only through ``_p_weights`` and ``_p_slope``.
+# step operator reads it only through ``_p_slope``.
 _GRAD_REG_EPS = 1e-10
 
 
@@ -230,7 +231,8 @@ def _p_weights(t2: np.ndarray, p: float) -> np.ndarray:
 
 def _p_slope(t: np.ndarray, p: float) -> np.ndarray:
     """d/dt (w(t) t) = w(t) (1 + (p-2) t^2 / (t^2 + eps^2)), in (0, w(t)], of
-    each entry: the edge coefficient of the p-gradient term's Hessian."""
+    each entry: the curvature of both p-terms, the edge coefficient of the
+    p-gradient term's Hessian and the p-mass term's diagonal."""
     t2 = t * t
     return _p_weights(t2, p) * (1.0 + (p - 2.0) * t2 / (t2 + _GRAD_REG_EPS * _GRAD_REG_EPS))
 

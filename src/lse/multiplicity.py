@@ -30,13 +30,11 @@ import logging
 from .energy import PerturbationParams, Tabulated
 from .grid import Field, Grid, _h1v_raw, fold, quotient_grid, unfold
 from .solver import (
-    CollapseError,
     ContinuationSchedule,
-    ConvergenceFailure,
-    GeometryFailure,
     MountainPassConfig,
     Preconditioner,
     SolveReport,
+    SolverError,
     continue_to_limit,
     structured_seed,
 )
@@ -105,7 +103,7 @@ def find_k_solutions(
                 sg, sv, sched, params, cfg,
                 seed=seed, trajectories=trajectories, precond=precond,
             )
-        except (CollapseError, ConvergenceFailure, GeometryFailure) as exc:
+        except SolverError as exc:
             log.info("seed %d did not produce a solution: %s", attempt, exc)
             continue
         log.info("seed %d solved: %d Newton steps, %d step and Newton factorizations, "

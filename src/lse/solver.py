@@ -78,8 +78,8 @@ from scipy.linalg.lapack import dgbtrs as _gbtrs
 from .energy import (
     PerturbationParams,
     _gradient_raw,
+    _log_abs,
     _p_slope,
-    _p_weights,
     _parts_raw,
     validate_potential,
 )
@@ -407,16 +407,14 @@ def _linearized_matrix(
     Armijo step operator at every lam, and at lam = 0 (where it does not
     depend on u) the fixed operator of ``Preconditioner``.
 
-    This is (-Lap + V + 1) plus the exact second derivative of the
-    p-gradient term (a divergence form with the edge coefficients
-    ``_p_slope``) and (p-1) w(u), with w = ``_p_weights``, for the p-mass
-    term.  Without the latter, the |u|^(p-1) nonlinearity makes
-    preconditioned descent oscillate around the nearly-sparse tail
-    instead of settling on it.  (p-1) w(u) is that term's curvature in the
-    limit eps -> 0, not the derivative ``_p_slope(u)`` of its flux w(u) u:
-    the two agree where |u| >> eps and differ by up to a factor 1/(p-1)
-    where |u| is near eps or below.  Filled into
-    ``_stencil_pattern``, less ``diag_shift`` on the diagonal if given.  The
+    This is (-Lap + V + 1) plus the exact second derivative of both
+    p-terms: lam ``_p_slope`` of each edge difference as the edge
+    coefficient of the p-gradient term's divergence form, and lam
+    ``_p_slope(u)``, the derivative of the p-mass flux lam w(u) u, on the
+    diagonal.  Without the latter, the |u|^(p-1) nonlinearity makes
+    preconditioned descent oscillate around the nearly-sparse tail instead
+    of settling on it.  Filled into ``_stencil_pattern``, less
+    ``diag_shift`` on the diagonal if given.  The
     first edge of each axis enters the face diagonal with ``Grid.first_edge``
     times its coefficient, as d(first edge)/du = first_edge / h: once
     against the zero exterior, 0 (even) or 2 (odd) times against a mirror.
@@ -432,28 +430,22 @@ def _linearized_matrix(
         coeff[first] *= g.first_edge[d]
         diag += (coeff[head] + coeff[tail]) / h2
         data[lower] = data[upper] = -(coeff[inner] / h2).reshape(-1)
-    diag = diag.reshape(-1) + vvals + 1.0 + lam * (p - 1.0) * _p_weights(u * u, p)
+    diag = diag.reshape(-1) + vvals + 1.0 + lam * _p_slope(u, p)
     data[diag_pos] = diag if diag_shift is None else diag - diag_shift
     return data
 
 
 def _newton_matrix(g: Grid, vvals: np.ndarray, u: np.ndarray, params: PerturbationParams) -> np.ndarray:
     """Jacobian of el_gradient at u (sparse, symmetric, indefinite), as
-    its values on ``_stencil_pattern``: exact at lam = 0, and at lam > 0
-    exact but for the p-mass term's diagonal.
+    its values on ``_stencil_pattern``, at every lam.
 
     Equals the SPD step operator minus the zeroth-order surrogate (the +1)
-    and minus the log-term curvature log u^2 + 2, taken off its diagonal
+    and minus the log-term curvature 2 log|u| + 2, the derivative of
+    ``log_nonlin`` with its ``_log_abs`` floor, taken off its diagonal
     before the fill; at grid zeros of u the log curvature is a large
-    positive diagonal, which correctly freezes those entries.  The p-mass
-    term enters with the step operator's lam (p-1) w(u), where its flux
-    lam w(u) u has the derivative lam ``_p_slope(u)``: up to 1/(p-1) times
-    larger where |u| is near eps = 1e-10 or below (by more than 1% below
-    1e-9 at p = 1.5), which the Gaussian tails of a large box reach (half
-    the points of the 2d L = 6, n = 190 Gausson).  A single phi_eps with
-    its derivatives (ROADMAP item 12) would make the matrix exact.
+    positive diagonal, which correctly freezes those entries.
     """
-    return _linearized_matrix(g, vvals, u, params, diag_shift=3.0 + np.log(u * u + 1e-300))
+    return _linearized_matrix(g, vvals, u, params, diag_shift=3.0 + 2.0 * _log_abs(u))
 
 
 # ---------------------------------------------------------------------------
@@ -486,55 +478,32 @@ def structured_seed(g: Grid, j: int, potential) -> Field:
 def _ray_peak_factor(parts, params: PerturbationParams) -> float:
     """t* > 0 maximizing I_lam(t u) given the energy parts of u.
 
-    d/dt I_lam(t u) / t = psi(t) = lam t^(p-2) P + Q - s - 2 m log t with
-    P = p-terms, Q = |grad u|^2 + V-mass, m = mass, s = log integral;
-    psi is strictly decreasing and convex in t, so the peak is its unique
-    root, which Newton's method approaches monotonically from the left end
-    of a doubling bracket.
+    In s = log t, d/dt I_lam(t u) / (2 m t) = psi(s) = b e^((p-2) s) + s0 - s
+    with b = lam P / (2 m) and s0 = (Q - S) / (2 m), the lam = 0 peak, where
+    P = p-terms, Q = |grad u|^2 + V-mass, m = mass, S = log integral.  psi
+    is strictly decreasing and convex with psi(s0) = b e^((p-2) s0) >= 0, so
+    its unique root is the peak, and Newton's method from s0 clipped to
+    [-50, 50] rises to it without passing it.  The iterates are capped at
+    50, and when psi <= 0 already at the clipped start (the root lies below
+    -50) the start is the answer, so at lam = 0 this is exp(clip(s0)).
     """
     m = parts.mass
     if m <= 0.0:
         return 1.0
-    q_minus_s = parts.grad_sq + parts.v_mass - parts.log_int
-    if params.lam == 0.0:
-        return float(np.exp(np.clip(q_minus_s / (2.0 * m), -50.0, 50.0)))
-    p_total = parts.p_grad + parts.p_mass
-
-    lam, p = params.lam, params.p
-
-    def psi(t: float) -> float:
-        return lam * t ** (p - 2.0) * p_total + q_minus_s - 2.0 * m * math.log(t)
-
-    lo = hi = 1.0
-    if psi(1.0) > 0.0:
-        for _ in range(60):
-            hi *= 2.0
-            if psi(hi) <= 0.0:
-                break
-        else:
-            return hi
-        lo = hi / 2.0
-    else:
-        for _ in range(60):
-            lo /= 2.0
-            if psi(lo) >= 0.0:
-                break
-        else:
-            return lo
-        hi = lo * 2.0
-    # psi(lo) >= 0 > psi(hi).  From lo the Newton iterates of the convex,
-    # decreasing psi rise to the root without passing it, so psi <= 0 or a
-    # step at rounding level ends the iteration; hi caps every step.
-    t = lo
+    s0 = (parts.grad_sq + parts.v_mass - parts.log_int) / (2.0 * m)
+    b = params.lam * (parts.p_grad + parts.p_mass) / (2.0 * m)
+    k = params.p - 2.0
+    s = float(np.clip(s0, -50.0, 50.0))
+    # psi <= 0 or a step at rounding level ends the iteration
     for _ in range(100):
-        f = psi(t)
+        be = b * math.exp(k * s)
+        f = be + (s0 - s)
         if f <= 0.0:
             break
-        t_next = min(t - f / (lam * (p - 2.0) * t ** (p - 3.0) * p_total - 2.0 * m / t), hi)
-        if t_next - t <= 4.0 * np.finfo(float).eps * t:
-            return float(t_next)
-        t = t_next
-    return float(t)
+        s, prev = min(s + f / (1.0 - k * be), 50.0), s
+        if s - prev <= 4.0 * np.finfo(float).eps * abs(s):
+            break
+    return float(np.exp(s))
 
 
 def _subspace_local_max(

@@ -106,6 +106,23 @@ def test_only_energy_knows_the_perturbation_term():
     assert readers == {"energy.py"} and definers == {"energy.py"}, (readers, definers)
 
 
+def test_solver_takes_each_derivative_from_energy():
+    # the p-term curvature is energy's _p_slope and the log curvature its
+    # _log_abs, so lse.solver names no _p_weights and calls no log
+    path = next(path for path in SOURCES if path.name == "solver.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and node.id == "_p_weights":
+            found.add("_p_weights")
+        elif isinstance(node, ast.alias) and node.name == "_p_weights":
+            found.add("import _p_weights")
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if name == "log":
+                found.add(ast.unparse(node.func))
+    assert not found, found
+
+
 def test_only_grid_knows_the_quotient_layout():
     # folding, the even-n rule and the mirror edge have one home
     readers = set()

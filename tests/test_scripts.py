@@ -104,6 +104,54 @@ def test_multiplicity_scan_prints_one_line_per_case():
         assert len(energies) == int(match.group(1)) and energies == sorted(energies) and energies[0] > 0.0
 
 
+def test_multiplicity_scan_compares_two_saved_outputs(tmp_path):
+    label = "dim=2 n=40 V=harmonic:2.0 p=1.3 k="
+    old = tmp_path / "old.txt"
+    old.write_text(
+        f"{label}3: 4.0,100.0,2000.0\n"
+        f"{label}5: 4.0,100.0\n"
+        f"{label}7: ConvergenceFailure: mountain pass stopped at residual 1.000e-03 after 500 iterations\n"
+    )
+    same = tmp_path / "same.txt"
+    same.write_text(
+        f"{label}3: 4.0,100.00000001,2000.0\n"
+        f"{label}5: 4.0,100.0\n"
+        f"{label}7: ConvergenceFailure: mountain pass stopped at residual 2.000e-03 after 500 iterations\n"
+    )
+    moved = tmp_path / "moved.txt"
+    moved.write_text(
+        f"{label}3: 4.0,100.0,2000.0\n"
+        f"{label}5: 4.0,100.0,150.0\n"
+        f"{label}7: 4.0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = str(ROOT / "scripts" / "multiplicity_scan.py")
+
+    def compare(new):
+        argv = [sys.executable, script, "--compare", str(old), str(new)]
+        return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+    proc = compare(same)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["cases compared: 3 (only in OLD: 0, only in NEW: 0)", "outcome changes: none"]
+    match = re.fullmatch(rf"largest relative energy difference: (\S+) \({re.escape(label)}3\)", lines[2])
+    assert match and float(match.group(1)) == pytest.approx(1e-10)
+    # an added energy and an exception that became a solution both change
+    # the outcome; the cases that keep theirs are still compared
+    proc = compare(moved)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cases compared: 3 (only in OLD: 0, only in NEW: 0)",
+        "outcome changes: 2",
+        f"  OLD {label}5: 4.0,100.0",
+        f"  NEW {label}5: 4.0,100.0,150.0",
+        f"  OLD {label}7: ConvergenceFailure: mountain pass stopped at residual 1.000e-03 after 500 iterations",
+        f"  NEW {label}7: 4.0",
+        "largest relative energy difference: 0.0",
+    ]
+
+
 def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     (tmp_path / "b.py").write_text(
         '"""Module docstring\n\nover three lines."""\n\n'

@@ -9,10 +9,12 @@ import scipy.sparse as sp
 import lse.solver as solver_mod
 from lse.energy import (
     _GRAD_REG_EPS,
+    EnergyParts,
     Harmonic,
     PerturbationParams,
     Shifted,
     _gradient_raw,
+    _log_abs,
     _parts_raw,
     el_gradient,
     energy_parts,
@@ -136,7 +138,8 @@ def _coo_linearized_matrix(g, vvals, u, params):
         cols.extend((b, a))
         vals.extend((-inner.reshape(-1), -inner.reshape(-1)))
     diag = diag.reshape(-1) + vvals + 1.0
-    diag = diag + lam * (p - 1.0) * (u * u + eps**2) ** ((p - 2.0) / 2.0)
+    u2 = u * u
+    diag = diag + lam * ((u2 + eps * eps) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * u2 / (u2 + eps * eps)))
     a_mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(g.npoints, g.npoints),
@@ -184,24 +187,45 @@ class TestStepOperators:
         nd = 2.0 + 0.1 * np.indices(g.shape).sum(axis=0) + 0.03 * rng.random(g.shape)
         return g, V_HARMONIC.evaluate(g).values, nd.reshape(-1)
 
+    @staticmethod
+    def tiny_state(dim, n, mirror=()):
+        # every |u| in [1e-12, 1e-9], on both sides of the p-terms' eps =
+        # 1e-10, with random signs: where the p-mass curvature is furthest
+        # from its eps -> 0 limit (p-1) w(u)
+        g, vvals, _ = TestStepOperators.smooth_state(dim, n, mirror)
+        rng = np.random.default_rng(dim)
+        u = rng.choice([-1.0, 1.0], g.npoints) * 10.0 ** rng.uniform(-12.0, -9.0, g.npoints)
+        return g, vvals, u
+
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
     def test_newton_matrix_is_the_jacobian(self, dim, n, lam):
-        self.check_newton_matrix(dim, n, (), lam)
+        self.check_newton_matrix(self.smooth_state(dim, n), lam, 1.5, 1e-5, 1e-6)
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     @pytest.mark.parametrize("dim, n, mirror", QUOTIENT_GRIDS)
     def test_newton_matrix_is_the_jacobian_on_quotient_grids(self, dim, n, mirror, lam):
-        self.check_newton_matrix(dim, n, mirror, lam)
+        self.check_newton_matrix(self.smooth_state(dim, n, mirror), lam, 1.5, 1e-5, 1e-6)
 
-    def check_newton_matrix(self, dim, n, mirror, lam):
-        g, vvals, u = self.smooth_state(dim, n, mirror)
-        params = PerturbationParams(lam=lam, p=1.5)
+    @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    @pytest.mark.parametrize("dim, n, mirror", [(dim, n, ()) for dim, n in STENCIL_GRIDS] + QUOTIENT_GRIDS)
+    def test_newton_matrix_is_the_jacobian_on_tiny_fields(self, dim, n, mirror, lam, p):
+        # the difference step is small against the smallest |u|, so no
+        # entry changes sign and the p-mass and log curvatures are resolved
+        state = self.tiny_state(dim, n, mirror)
+        self.check_newton_matrix(state, lam, p, 1e-3 * float(np.abs(state[2]).min()), 1e-5)
+
+    @staticmethod
+    def check_newton_matrix(state, lam, p, t, rtol):
+        """The Newton matrix times a random v against the central difference
+        of the gradient with step t, within rtol of the product's norm."""
+        g, vvals, u = state
+        params = PerturbationParams(lam=lam, p=p)
         v = np.random.default_rng(1).standard_normal(g.npoints)
-        t = 1e-5
         fd = (_gradient_raw(g, vvals, u + t * v, params) - _gradient_raw(g, vvals, u - t * v, params)) / (2.0 * t)
         jv = _matrix(g, solver_mod._newton_matrix(g, vvals, u, params)) @ v
-        assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+        assert np.linalg.norm(jv - fd) <= rtol * np.linalg.norm(jv)
 
     @pytest.mark.parametrize("dim, n, mirror", QUOTIENT_GRIDS)
     def test_preconditioner_solves_the_lambda_zero_step_operator(self, dim, n, mirror):
@@ -250,13 +274,13 @@ class TestStepOperators:
         g = make_grid(dim, 3.0, n)
         vvals = V_HARMONIC.evaluate(g).values
         u = 3.0 * np.random.default_rng(dim).standard_normal(g.npoints)
-        u[::5] = 0.0  # log-term curvature at its 1e-300 floor
+        u[::5] = 0.0  # log-term curvature at its _log_abs floor
         params = PerturbationParams(lam=lam, p=p)
         want = _coo_linearized_matrix(g, vvals, u, params)
         _assert_bit_equal(_matrix(g, solver_mod._linearized_matrix(g, vvals, u, params)), want)
         _assert_bit_equal(
             _matrix(g, solver_mod._newton_matrix(g, vvals, u, params)),
-            want - sp.diags(3.0 + np.log(u * u + 1e-300)),
+            want - sp.diags(3.0 + 2.0 * _log_abs(u)),
         )
 
     @staticmethod
@@ -305,7 +329,7 @@ class TestBandedFactorization:
         vvals = V_HARMONIC.evaluate(g).values
         rng = np.random.default_rng(dim)
         u = 3.0 * rng.standard_normal(g.npoints)
-        u[::5] = 0.0  # log-term curvature at its 1e-300 floor
+        u[::5] = 0.0  # log-term curvature at its _log_abs floor
         values = getattr(solver_mod, matrix)(g, vvals, u, PerturbationParams(lam=0.1, p=1.5))
         a = _matrix(g, values)
         rhs = rng.standard_normal(g.npoints)
@@ -372,6 +396,51 @@ class TestRayPeak:
                 t = solver_mod._ray_peak_factor(parts, params)
                 want = brentq(psi, t / 4.0, t * 4.0, xtol=1e-300, rtol=8.9e-16)
                 assert t == pytest.approx(want, rel=1e-14)
+
+    @staticmethod
+    def parts(lam, p, p_terms, q_minus_s, mass=1.0):
+        """EnergyParts with the given p-terms (split in two halves), Q - S
+        (as -log_int) and mass."""
+        return EnergyParts(
+            lam=lam, p=p, p_grad=0.5 * p_terms, p_mass=0.5 * p_terms,
+            grad_sq=0.0, v_mass=0.0, mass=mass, log_int=-q_minus_s,
+        )
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("lam", [1.0, 1e-4])
+    @pytest.mark.parametrize("root", [-49.0, -45.0, 45.0, 49.0])
+    def test_far_peak_is_the_root_of_the_ray_derivative(self, root, lam, p):
+        # log t* beyond +-60 log 2: the lam = 0 peak s0 lies 3 below the root,
+        # and at -49 it is clipped to -50
+        from scipy.optimize import brentq
+
+        p_terms = 6.0 / (lam * np.exp((p - 2.0) * root))
+        parts = self.parts(lam, p, p_terms, 2.0 * (root - 3.0))
+
+        def psi(t):
+            return lam * t ** (p - 2.0) * p_terms + 2.0 * (root - 3.0) - 2.0 * np.log(t)
+
+        t = solver_mod._ray_peak_factor(parts, PerturbationParams(lam=lam, p=p))
+        want = brentq(psi, t / 4.0, t * 4.0, xtol=1e-300, rtol=8.9e-16)
+        assert np.log(want) == pytest.approx(root, abs=1e-12)
+        assert t == pytest.approx(want, rel=1e-14)
+
+    def test_lambda_zero_peak_is_the_clipped_closed_form(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            mass = 10.0 ** rng.uniform(-6.0, 6.0)
+            q_minus_s = mass * rng.uniform(-130.0, 130.0)
+            parts = self.parts(0.0, 1.5, 0.0, q_minus_s, mass)
+            t = solver_mod._ray_peak_factor(parts, PerturbationParams(lam=0.0))
+            assert t == float(np.exp(np.clip(q_minus_s / (2.0 * mass), -50.0, 50.0)))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("s0", [-1e6, 1e6])
+    def test_peak_beyond_the_bounds_is_the_bound(self, s0, p):
+        # p-terms small enough that the root of s0 = -1e6 lies below -50
+        parts = self.parts(1.0, p, 1e-20, 2.0 * s0)
+        t = solver_mod._ray_peak_factor(parts, PerturbationParams(lam=1.0, p=p))
+        assert t == float(np.exp(np.copysign(50.0, s0)))
 
 
 class TestSeed:
