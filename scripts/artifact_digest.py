@@ -18,10 +18,10 @@ changes in the number of energies and the largest relative difference of
 a lam = 0 energy.  It exits 1 when an exit code or an energy count changed,
 or when the two outputs do not list the same configs.
 
-Usage (the program is imported from PYTHONPATH, the workloads from this
-checkout):
+Usage (the workloads are imported from this checkout and, to run configs,
+the program from PYTHONPATH; ``--compare`` does not import the program):
     PYTHONPATH=src python3 scripts/artifact_digest.py --workload ladder_1d --seed 5 > old.txt
-    PYTHONPATH=src python3 scripts/artifact_digest.py --compare old.txt new.txt
+    python3 scripts/artifact_digest.py --compare old.txt new.txt
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-
-from lse.io_cli import parse_config, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lsebench"))
 import workloads  # noqa: E402
@@ -66,6 +64,10 @@ def limit_energies(output_dir: str) -> str:
 
 
 def digest_line(index: int, cfg: dict) -> str:
+    # the program is imported only to run a config, so --compare runs
+    # without it on the path
+    from lse.io_cli import parse_config, run
+
     with tempfile.TemporaryDirectory() as out:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -21,22 +21,17 @@ energies, or the exception it raised), and the largest relative difference
 ``artifact_digest.py --compare``.  It exits 1 when an outcome changed, or
 when the two outputs do not list the same cases.
 
-Usage (the program is imported from PYTHONPATH):
+Usage (to scan, the program is imported from PYTHONPATH; ``--compare``
+does not import it):
     PYTHONPATH=src python3 scripts/multiplicity_scan.py
     PYTHONPATH=src python3 scripts/multiplicity_scan.py --dims 1
     PYTHONPATH=src python3 scripts/multiplicity_scan.py > old.txt
-    PYTHONPATH=src python3 scripts/multiplicity_scan.py --compare old.txt new.txt
+    python3 scripts/multiplicity_scan.py --compare old.txt new.txt
 """
 
 from __future__ import annotations
 
 import argparse
-
-from lse.energy import PerturbationParams
-from lse.grid import make_grid
-from lse.io_cli import build_potential
-from lse.multiplicity import find_k_solutions
-from lse.solver import ContinuationSchedule, MountainPassConfig, SolverError
 
 # dim -> (half width, point counts)
 GRIDS = {1: (8.0, (254, 255)), 2: (6.0, (40, 41)), 3: (5.0, (16,))}
@@ -56,6 +51,14 @@ def cases(dims):
 
 
 def scan_line(dim, half_width, n, desc, p, k) -> str:
+    # the program is imported only to scan, so --compare runs without it on
+    # the path
+    from lse.energy import PerturbationParams
+    from lse.grid import make_grid
+    from lse.io_cli import build_potential
+    from lse.multiplicity import find_k_solutions
+    from lse.solver import ContinuationSchedule, MountainPassConfig, SolverError
+
     label = f"dim={dim} n={n} V={desc} p={p} k={k}:"
     try:
         found = find_k_solutions(

@@ -10,6 +10,13 @@ the keys.  ``run`` and ``lse verify`` build their objects through the same
 methods and share one path: ``_setup`` (grid and validated potential, or
 ``FAIL config``), ``_run_checks`` and ``_failed_gate`` (``FAIL verify``),
 so a config defect fails both commands at the same stage with one line.
+
+Every stage fails through one channel.  A failed stage raises ``_Failure``
+with its stage and detail; ``_stage(name, *expected)`` turns the exceptions
+a stage expects into its failure and lets every other exception through.
+``_exit_code``, which ``run`` and ``main`` alone call, prints the failure
+as the ``FAIL <stage> <detail>`` line, last on stderr, and returns 1.
+
 Field files use the self-describing ``LSEF1`` layout: a magic line, a header
 line ``dim points half_width``, then the raw little-endian float64 payload in
 row-major order.  All output files are written to a temporary file in the
@@ -28,6 +35,7 @@ import logging
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -40,7 +48,7 @@ from .energy import (
     Tabulated,
     validate_potential,
 )
-from .grid import Field, Grid, make_grid, norm_h1v
+from .grid import Field, Grid, _require_same_grid, make_grid, norm_h1v
 from .multiplicity import find_k_solutions
 from .solver import ContinuationSchedule, MountainPassConfig, SolverError
 from .verify import CheckResult, check_energy_identity, check_gradient_fd, check_linf, check_log_sobolev, check_nehari, check_scaling
@@ -303,30 +311,54 @@ def read_field(path: str) -> tuple[Grid, Field]:
 # orchestration
 
 
-def _setup(spec: RunSpec) -> tuple[Grid, object] | int:
-    """The run's grid and validated potential, or the exit code of the
-    ``FAIL config`` line printed when they cannot be built: an unreadable
-    or mismatched tabulated file, V not positive or not finite on the grid,
-    or a grid too large to allocate."""
+class _Failure(Exception):
+    """A failed stage: ``_Failure(stage, detail)`` is the line
+    ``FAIL <stage> <detail>``."""
+
+
+@contextmanager
+def _stage(name: str, *expected: type[Exception]):
+    """Raise an ``expected`` exception of the block as a ``_Failure`` of
+    stage ``name``, with the exception's text as its detail."""
     try:
+        yield
+    except expected as exc:
+        raise _Failure(name, str(exc)) from exc
+
+
+def _exit_code(command, *args) -> int:
+    """Call ``command(*args)``: 0, or 1 after printing the ``FAIL`` line of
+    the stage that failed (always last on stderr)."""
+    try:
+        command(*args)
+    except _Failure as failure:
+        stage, detail = failure.args
+        print(f"FAIL {stage} {detail}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _setup(spec: RunSpec) -> tuple[Grid, object]:
+    """The run's grid and validated potential; ``FAIL config`` when they
+    cannot be built: an unreadable or mismatched tabulated file, V not
+    positive or not finite on the grid, or a grid too large to allocate."""
+    with _stage("config", ValueError, OSError, MemoryError):
         g = spec.grid()
         potential = build_potential(spec.potential)
         validate_potential(g, potential)
-    except (ValueError, OSError, MemoryError) as exc:
-        return _fail("config", str(exc))
     return g, potential
 
 
-def _run_checks(g: Grid, potential, to_check: list[Field], spec: RunSpec) -> list[list[CheckResult]] | int:
+def _run_checks(g: Grid, potential, to_check: list[Field], spec: RunSpec) -> list[list[CheckResult]]:
     """Every check of each field at the run's lam = 0 params, in the order
-    ``checks.csv`` and ``lse verify`` list them, or the exit code of the
-    ``FAIL verify`` line printed when a check cannot be computed.
+    ``checks.csv`` and ``lse verify`` list them; ``FAIL verify`` when a
+    check cannot be computed.
 
     The gradient check depends on the run, not on a field (its fields are
     random draws seeded by ``rng_seed``), so it runs once and every field
     lists its result."""
     params0 = spec.params0()
-    try:
+    with _stage("verify", ValueError, MemoryError):
         gradient = check_gradient_fd(g, potential, params0, trials=10, rng_seed=spec.rng_seed)
         return [
             [
@@ -339,23 +371,19 @@ def _run_checks(g: Grid, potential, to_check: list[Field], spec: RunSpec) -> lis
             ]
             for u in to_check
         ]
-    except (ValueError, MemoryError) as exc:
-        return _fail("verify", str(exc))
 
 
-def _failed_gate(all_checks: list[list[CheckResult]], what: str) -> int:
-    """Print the ``FAIL verify`` line of the first field, in order, that
-    fails a check of ``_GATE_CHECKS``, and return the exit code (0 when
-    none does); ``what`` names field j, e.g. ``"solution {j}"``."""
+def _failed_gate(all_checks: list[list[CheckResult]], what: str) -> None:
+    """``FAIL verify`` for the first field, in order, that fails a check of
+    ``_GATE_CHECKS``; ``what`` names field j, e.g. ``"solution {j}"``."""
     for j, results in enumerate(all_checks, start=1):
         named = {res.name: res for res in results}
         res = next((named[gate] for gate in _GATE_CHECKS if not named[gate].passed), None)
         if res is not None:
-            return _fail(
+            raise _Failure(
                 "verify",
                 f"{what.format(j=j)} failed {res.name} (margin={res.margin!r}, tolerance={res.tolerance!r})",
             )
-    return 0
 
 
 def _diagnostics_text(solutions) -> str:
@@ -390,12 +418,6 @@ def _plotdata_text(solutions) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _fail(stage: str, detail: str) -> int:
-    """Emit the machine-parsable failure line (always last on stderr)."""
-    print(f"FAIL {stage} {detail}", file=sys.stderr)
-    return 1
-
-
 def run(spec: RunSpec, *, quiet: bool = False) -> int:
     """Execute the full solve described by ``spec`` and emit its artifacts.
 
@@ -404,30 +426,21 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
     stage that runs out of memory (a grid too large to allocate) fails
     with that stage's ``FAIL`` line, like any other error of it.
     """
-    setup = _setup(spec)
-    if isinstance(setup, int):
-        return setup
-    g, potential = setup
+    return _exit_code(_solve, spec, quiet)
 
-    try:
+
+def _solve(spec: RunSpec, quiet: bool) -> None:
+    """``run``'s stages, each raising its ``_Failure``."""
+    g, potential = _setup(spec)
+    with _stage("io", OSError):
         os.makedirs(spec.output_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail("io", str(exc))
-
-    try:
+    with _stage("solve", SolverError, ValueError, MemoryError):
         solutions = find_k_solutions(g, potential, spec.schedule(), spec.params0(), spec.descent(), spec.k_solutions)
-    except (SolverError, ValueError, MemoryError) as exc:
-        return _fail("solve", str(exc))
     if len(solutions) < spec.k_solutions:
-        return _fail(
-            "solve", f"found {len(solutions)} of {spec.k_solutions} requested solutions"
-        )
+        raise _Failure("solve", f"found {len(solutions)} of {spec.k_solutions} requested solutions")
 
     all_checks = _run_checks(g, potential, [u for u, _, _ in solutions], spec)
-    if isinstance(all_checks, int):
-        return all_checks
-
-    try:
+    with _stage("io", OSError):
         if "fields" in spec.emit:
             for j, (u, _, _) in enumerate(solutions, start=1):
                 write_field(os.path.join(spec.output_dir, f"u_{j}.lsef"), u)
@@ -437,8 +450,6 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
             _atomic_write_text(os.path.join(spec.output_dir, "checks.csv"), _checks_text(all_checks))
         if "plotdata" in spec.emit:
             _atomic_write_text(os.path.join(spec.output_dir, "energy_vs_lambda.dat"), _plotdata_text(solutions))
-    except OSError as exc:
-        return _fail("io", str(exc))
 
     if not quiet:
         for j, ((_, energy, report), results) in enumerate(zip(solutions, all_checks), start=1):
@@ -447,71 +458,50 @@ def run(spec: RunSpec, *, quiet: bool = False) -> int:
                 f"solution {j}: energy={energy!r} "
                 f"resid_raw={report.records[-1].resid_raw!r} checks={verdict}"
             )
-    return _failed_gate(all_checks, "solution {j}")
+    _failed_gate(all_checks, "solution {j}")
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
 
-def _load_spec(config_path: str, output_dir: str | None = None) -> RunSpec | int:
-    """The config file's RunSpec, or the exit code of the ``FAIL io`` or
-    ``FAIL config`` line printed when it cannot be read or parsed."""
-    try:
+def _load_spec(config_path: str, output_dir: str | None = None) -> RunSpec:
+    """The config file's RunSpec; ``FAIL io`` or ``FAIL config`` when it
+    cannot be read or parsed."""
+    with _stage("io", OSError), _stage("config", ConfigError):
         with open(config_path, "r", encoding="utf-8") as handle:
             spec = parse_config(handle.read())
-    except OSError as exc:
-        return _fail("io", str(exc))
-    except ConfigError as exc:
-        return _fail("config", str(exc))
     return spec if output_dir is None else replace(spec, output_dir=output_dir)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.config, args.output_dir)
-    return spec if isinstance(spec, int) else run(spec, quiet=args.quiet)
+def _cmd_solve(args: argparse.Namespace) -> None:
+    _solve(_load_spec(args.config, args.output_dir), args.quiet)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     spec = _load_spec(args.config)
-    if isinstance(spec, int):
-        return spec
-    setup = _setup(spec)
-    if isinstance(setup, int):
-        return setup
-    g, potential = setup
-    try:
-        field_grid, u = read_field(args.field)
-    except (OSError, FieldFormatError) as exc:
-        return _fail("io", str(exc))
-    if field_grid != g:
-        return _fail(
-            "config",
-            f"grid mismatch: field is {field_grid.dim}d n={field_grid.points_per_dim} L={field_grid.half_width!r}, "
-            f"config wants {g.dim}d n={g.points_per_dim} L={g.half_width!r}",
-        )
+    g, potential = _setup(spec)
+    with _stage("io", OSError, FieldFormatError):
+        _, u = read_field(args.field)
+    with _stage("config", ValueError):
+        _require_same_grid(g, u)
     all_checks = _run_checks(g, potential, [u], spec)
-    if isinstance(all_checks, int):
-        return all_checks
     if not args.quiet:
         print(_CHECK_HEADER)
         for res in all_checks[0]:
             print(_check_row(res))
-    return _failed_gate(all_checks, "field")
+    _failed_gate(all_checks, "field")
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
-    try:
+def _cmd_info(args: argparse.Namespace) -> None:
+    with _stage("io", OSError, FieldFormatError):
         g, u = read_field(args.field)
-    except (OSError, FieldFormatError) as exc:
-        return _fail("io", str(exc))
     print(f"dim={g.dim}")
     print(f"points={g.points_per_dim}")
     print(f"half_width={float(g.half_width)!r}")
     print(f"values={u.values.size}")
     print(f"min={float(u.values.min())!r}")
     print(f"max={float(u.values.max())!r}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -541,4 +531,4 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not getattr(args, "quiet", False):
         logging.basicConfig(level=logging.INFO, format="%(message)s")
-    return args.func(args)
+    return _exit_code(args.func, args)

@@ -208,3 +208,27 @@ def test_only_runspec_maps_config_keys_to_their_owners():
         "MountainPassConfig": {"RunSpec.descent"},
         "make_grid": {"RunSpec.grid", "read_field"},
     }
+
+
+def test_io_cli_fails_through_one_channel():
+    # a failed stage raises its FAIL line instead of returning an exit code
+    # beside its value, and one function prints that line
+    path = next(path for path in SOURCES if path.name == "io_cli.py")
+    functions = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, ast.FunctionDef)]
+    assert functions
+    int_unions = [
+        fn.name for fn in functions if fn.returns is not None and any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+            and any(isinstance(side, ast.Name) and side.id == "int" for side in ast.walk(node))
+            for node in ast.walk(fn.returns)
+        )
+    ]
+    stderr_writers = [
+        fn.name for fn in functions if any(
+            isinstance(node, ast.Attribute) and node.attr == "stderr"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+            for node in ast.walk(fn)
+        )
+    ]
+    assert not int_unions, int_unions
+    assert len(stderr_writers) == 1, stderr_writers

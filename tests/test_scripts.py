@@ -13,6 +13,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _env_without_src() -> dict[str, str]:
+    """The environment with this checkout's ``src`` taken off PYTHONPATH."""
+    entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    kept = [entry for entry in entries if entry and (ROOT / entry).resolve() != ROOT / "src"]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(kept))
+
+
+# a comparison only reads two saved outputs, so it runs without the program
+# on the path too
+COMPARE_ENVS = pytest.mark.parametrize(
+    "env",
+    [dict(os.environ, PYTHONPATH=str(ROOT / "src")), _env_without_src()],
+    ids=["src_on_pythonpath", "src_off_pythonpath"],
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -43,7 +59,8 @@ def test_artifact_digest_prints_one_line_per_config():
     assert len(energies) == 4 and all(e > 0.0 for e in energies)
 
 
-def test_artifact_digest_compares_two_saved_outputs(tmp_path):
+@COMPARE_ENVS
+def test_artifact_digest_compares_two_saved_outputs(tmp_path, env):
     sha = ["0" * 64, "1" * 64]
     old = tmp_path / "old.txt"
     old.write_text(
@@ -63,7 +80,6 @@ def test_artifact_digest_compares_two_saved_outputs(tmp_path):
         f"1 rc=0 sha256={sha[0]} energies=2.0\n"
         f"2 rc=1 sha256={sha[0]} energies= FAIL config potential not positive on the grid\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = str(ROOT / "scripts" / "artifact_digest.py")
 
     def compare(new):
@@ -104,7 +120,8 @@ def test_multiplicity_scan_prints_one_line_per_case():
         assert len(energies) == int(match.group(1)) and energies == sorted(energies) and energies[0] > 0.0
 
 
-def test_multiplicity_scan_compares_two_saved_outputs(tmp_path):
+@COMPARE_ENVS
+def test_multiplicity_scan_compares_two_saved_outputs(tmp_path, env):
     label = "dim=2 n=40 V=harmonic:2.0 p=1.3 k="
     old = tmp_path / "old.txt"
     old.write_text(
@@ -124,7 +141,6 @@ def test_multiplicity_scan_compares_two_saved_outputs(tmp_path):
         f"{label}5: 4.0,100.0,150.0\n"
         f"{label}7: 4.0\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = str(ROOT / "scripts" / "multiplicity_scan.py")
 
     def compare(new):

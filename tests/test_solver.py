@@ -890,7 +890,7 @@ class TestMountainPass:
         # the gradient energy of (-1)^i outweighs the log term up to 2^60
         g = make_grid(1, 8.0, 1022)
         alt = Field(grid=g, values=(-1.0) ** np.arange(g.npoints))
-        with pytest.raises(GeometryFailure):
+        with pytest.raises(GeometryFailure, match=r"seed ray within 60 doublings \(degenerate seed\)"):
             mountain_pass(g, V_HARMONIC, PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), seed=alt)
 
     @staticmethod
