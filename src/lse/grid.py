@@ -14,11 +14,14 @@ bit for bit the upper half of the full coordinates.  The face x_d = 0 is a
 mirror of parity ``mirror[d]`` (+1 even, -1 odd), across which ``unfold``
 continues the field; ``fold``, its inverse, decides whether a full grid
 folds for an array and gives the array's share.  This module alone knows
-how a quotient grid relates to its full grid.  Every kernel below acts on a
-quotient field exactly as on its unfolded field: the mirror edge of the
-gradient is ``Grid.first_edge`` times u / h, ``0`` (even) or ``2 u / h``
-(odd), and an edge sum counts the mirror edge at half weight (the full
-grid shares it between the two halves).
+how a quotient grid relates to its full grid, and how grids of one box and
+mirror relate to each other: ``coarse_grid`` halves the stored points per
+axis, and ``transfer`` maps a field between two such grids by separable
+linear interpolation, zero at +-L and mirrored across a quotient face.
+Every kernel below acts on a quotient field exactly as on its unfolded
+field: the mirror edge of the gradient is ``Grid.first_edge`` times u / h,
+``0`` (even) or ``2 u / h`` (odd), and an edge sum counts the mirror edge
+at half weight (the full grid shares it between the two halves).
 
 Point weights have one home too: ``_integral`` (a point sum) and ``_inner``
 (a dot product) turn point values into integrals, and with
@@ -215,6 +218,49 @@ def unfold(g: Grid, u: np.ndarray) -> Field:
     for d, parity in enumerate(g.mirror):
         nd = np.concatenate([parity * np.flip(nd, axis=d), nd], axis=d)
     return Field(grid=replace(g, points_per_dim=g.box_points, mirror=()), values=nd.reshape(-1))
+
+
+def coarse_grid(g: Grid) -> Grid:
+    """The grid of g's box and mirror with ``points_per_dim // 2`` stored
+    points per axis."""
+    m = g.points_per_dim // 2
+    if g.mirror:
+        return quotient_grid(make_grid(g.dim, g.half_width, 2 * m), g.mirror)
+    return make_grid(g.dim, g.half_width, m)
+
+
+def transfer(src: Grid, dst: Grid, u: np.ndarray, parity: tuple[int, ...] | None = None) -> np.ndarray:
+    """The flat array on dst of the separable piecewise-linear interpolant
+    of the flat array u on src, for two grids of one box and mirror: the
+    same map restricts to a coarser grid and prolongs to a finer one.
+
+    Along each axis the interpolant's nodes are the stored points, +-L,
+    where it is zero, and on a quotient grid the mirror image of the first
+    point instead of -L, where it takes that point's value times
+    ``parity[d]`` (default: the grids' mirror, as for a field of the
+    sector; a potential is even on every axis).  Each weight is the hat
+    function 1 - |x - node| / h of its own node, so on a full grid the
+    interpolant of a mirror-symmetric array is symmetric bit for bit.
+    """
+    if (src.dim, src.half_width, src.mirror) != (dst.dim, dst.half_width, dst.mirror):
+        raise ValueError(
+            f"no transfer from {src.dim}d L={src.half_width} mirror={src.mirror} "
+            f"to {dst.dim}d L={dst.half_width} mirror={dst.mirror}: needs one box and mirror"
+        )
+    parity = src.mirror if parity is None else parity
+    xs, xd, h = src.axis_coords(), dst.axis_coords(), src.spacing
+    nodes = np.concatenate(([-xs[0] if src.mirror else -src.half_width], xs, [src.half_width]))
+    k = np.searchsorted(nodes, xd, side="right") - 1  # node left of each dst point
+    bcast = (slice(None),) + (None,) * (src.dim - 1)
+    w_left = (1.0 - (xd - nodes[k]) / h)[bcast]
+    w_right = (1.0 - (nodes[k + 1] - xd) / h)[bcast]
+    nd = u.reshape(src.shape)
+    for d in range(src.dim):
+        a = np.moveaxis(nd, d, 0)
+        low = parity[d] * a[:1] if src.mirror else np.zeros_like(a[:1])
+        ext = np.concatenate([low, a, np.zeros_like(a[:1])])
+        nd = np.moveaxis(w_left * ext[k] + w_right * ext[k + 1], 0, d)
+    return np.ascontiguousarray(nd).reshape(-1)
 
 
 def _require_same_grid(g: Grid, u: Field) -> None:

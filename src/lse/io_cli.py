@@ -64,8 +64,6 @@ __all__ = [
     "main",
 ]
 
-log = logging.getLogger(__name__)
-
 _EMIT_CHOICES = frozenset({"fields", "diagnostics", "plotdata", "checks"})
 
 #: Checks whose failure makes a run exit nonzero.  The other checks of

@@ -58,7 +58,14 @@ the Newton steps are monotone in the residual instead.
 a seed profile, the maximum of I_lam over the path t -> t * e from 0, and
 returns the descent's field with that path maximum.
 ``continue_to_limit`` drives lam down a geometric schedule with warm
-starts and finishes with a lam = 0 solve.
+starts and finishes with a lam = 0 solve.  On a grid whose step operator
+SuperLU factors while that of its ``lse.grid.coarse_grid`` is banded, it
+first runs the lam_start mountain pass on the coarse grid, with V, the seed
+and the deflation fields restricted by ``lse.grid.transfer``, and hands
+the prolonged coarse solution to the fine mountain pass as its seed: nested
+iteration, as in full multigrid.  Newton's step count does not depend on
+the mesh, so the fine finish starts near its solution and factors about
+half as often.  Every lam stage still runs on the requested grid.
 """
 
 from __future__ import annotations
@@ -77,13 +84,24 @@ from scipy.linalg.lapack import dgbtrs as _gbtrs
 
 from .energy import (
     PerturbationParams,
+    Tabulated,
     _gradient_raw,
     _log_abs,
     _p_slope,
     _parts_raw,
     validate_potential,
 )
-from .grid import Field, Grid, _axis_plan, _gradient_components, _h1v_raw, _inner, _integral
+from .grid import (
+    Field,
+    Grid,
+    _axis_plan,
+    _gradient_components,
+    _h1v_raw,
+    _inner,
+    _integral,
+    coarse_grid,
+    transfer,
+)
 
 __all__ = [
     "MountainPassConfig",
@@ -200,10 +218,16 @@ class SolveReport:
 
     records are ordered by decreasing lam with the lam = 0 stage last;
     trajectory holds the converged field of each stage.  m2_estimate is the
-    mountain-pass level, the path maximum of the first stage.  newton_steps,
-    factorizations and discarded_trials sum those of the stages' descents.
-    The identities a solution satisfies are checked by :mod:`lse.verify`,
-    not here.
+    maximum of I_lam_start on the ray through the start of the fine
+    mountain pass (the seed, or the prolonged coarse solution).  It bounds
+    every stage energy of an undeflated solve, whose first stage reaches
+    the ground level of I_lam_start, the least ray maximum of any field,
+    and whose later stages lie lower; it bounds no deflated solve.
+    newton_steps, factorizations and discarded_trials sum those of the
+    stages' descents on the requested grid; coarse_factorizations counts
+    the step and Newton factorizations of the coarse mountain pass.  The
+    identities a solution satisfies are checked by :mod:`lse.verify`, not
+    here.
     """
 
     records: list[LambdaRecord] = field(default_factory=list)
@@ -212,6 +236,7 @@ class SolveReport:
     newton_steps: int = 0
     factorizations: int = 0
     discarded_trials: int = 0
+    coarse_factorizations: int = 0
 
 
 @dataclass
@@ -347,14 +372,18 @@ class _BandedFactorization:
 _BANDED_LIMIT = 10_000_000
 
 
+def _banded(g: Grid) -> bool:
+    """Whether the step and Newton operators on g get banded LU: their band
+    is narrow."""
+    bw = g.points_per_dim ** (g.dim - 1)
+    return g.npoints * bw * bw <= _BANDED_LIMIT
+
+
 def _step_factorization(g: Grid) -> _Factorization | _BandedFactorization:
     """Owner of the per-iterate factorization of the step and Newton
     operators on g: banded LU when the band is narrow, else SuperLU."""
-    n = g.points_per_dim
-    bw = n ** (g.dim - 1)
-    if g.npoints * bw * bw <= _BANDED_LIMIT:
-        return _BandedFactorization(g.dim, n)
-    return _Factorization(g.dim, n)
+    owner = _BandedFactorization if _banded(g) else _Factorization
+    return owner(g.dim, g.points_per_dim)
 
 
 class Preconditioner:
@@ -830,6 +859,32 @@ def _stage_record(g, u: np.ndarray, params, res: DescentResult, parts) -> Lambda
     )
 
 
+def _coarse_start(
+    g: Grid, vvals: np.ndarray, params: PerturbationParams, cfg: MountainPassConfig,
+    seed: Field | None, deflation: Sequence[Field],
+) -> tuple[Field | None, int]:
+    """The start of the mountain pass on g at params.lam, and the step and
+    Newton factorizations it took: the mountain pass on ``coarse_grid(g)``
+    prolonged to g.  V, the seed (if None, the coarse grid's default) and
+    the deflation fields reach the coarse grid by ``transfer``, and the
+    coarse step owner is released on return.  A coarse mountain pass that
+    fails leaves the seed as the start."""
+    gc = coarse_grid(g)
+    potential = Tabulated(values=Field(grid=gc, values=transfer(g, gc, vvals, (1,) * g.dim)))
+    lu = _step_factorization(gc)
+    try:
+        mp = mountain_pass(
+            gc, potential, params, cfg,
+            seed=None if seed is None else Field(grid=gc, values=transfer(g, gc, seed.values)),
+            deflation=[Field(grid=gc, values=transfer(g, gc, f.values)) for f in deflation], step_lu=lu,
+        )
+    except SolverError:
+        return seed, 0
+    finally:
+        lu.release()
+    return Field(grid=g, values=transfer(gc, g, mp.field.values)), mp.descent.factorizations
+
+
 def continue_to_limit(
     g: Grid,
     potential,
@@ -851,6 +906,8 @@ def continue_to_limit(
     Newton factor of one stage may serve the next but never another solve.
     Every stage takes its lam from ``sched`` (the mountain pass at its
     start, a final lam = 0 solve last), so of ``params`` only ``p`` is read.
+    When g's step owner is SuperLU and its coarse grid's is banded, the
+    mountain pass starts from ``_coarse_start``.
     Raises CollapseError if the limit field is trivial (mass below 1e-6).
     """
     validate_potential(g, potential)
@@ -859,6 +916,9 @@ def continue_to_limit(
     vvals = potential.evaluate(g).values
     report = SolveReport()
     lams = sched.lambdas() + [0.0]
+    par = replace(params, lam=lams[0])
+    if not _banded(g) and _banded(coarse_grid(g)):
+        seed, report.coarse_factorizations = _coarse_start(g, vvals, par, cfg, seed, [t[0] for t in trajectories])
     lu = _step_factorization(g)
 
     def record(field: Field, par: PerturbationParams, res: DescentResult) -> None:
@@ -871,7 +931,6 @@ def continue_to_limit(
         report.discarded_trials += res.discarded_trials
 
     try:
-        par = replace(params, lam=lams[0])
         mp = mountain_pass(
             g, potential, par, cfg,
             seed=seed, deflation=[t[0] for t in trajectories], precond=precond, step_lu=lu,

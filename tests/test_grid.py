@@ -17,10 +17,12 @@ from lse.grid import (
     _integral,
     _neg_div,
     _require_same_grid,
+    coarse_grid,
     fold,
     make_grid,
     norm_h1v,
     quotient_grid,
+    transfer,
     unfold,
 )
 from lse.energy import Tabulated, norm_w1p
@@ -90,6 +92,105 @@ class TestFold:
         odd = unfold(quotient_grid(g, (-1, 1)), np.arange(1.0, 17.0)).values
         assert fold(g, odd, (1, 1)) is None and fold(g, odd, (-1, -1)) is None
         assert fold(g, odd, (-1, 1)) is not None
+
+
+def _interpolant_nodes(g, values, parity):
+    """Nodes and values of the 1d piecewise-linear interpolant that
+    ``transfer`` evaluates: the stored points, zero at +-L, and the mirror
+    image of the first point on a quotient grid."""
+    x = g.axis_coords()
+    if g.mirror:
+        return np.r_[-x[0], x, g.half_width], np.r_[parity * values[0], values, 0.0]
+    return np.r_[-g.half_width, x, g.half_width], np.r_[0.0, values, 0.0]
+
+
+class TestTransfer:
+    """``coarse_grid`` keeps a grid's box and mirror with half its stored
+    points; ``transfer`` maps fields between such grids by separable linear
+    interpolation, zero at +-L and continued by parity across a mirror."""
+
+    def test_coarse_grid_keeps_the_box_and_mirror(self):
+        assert coarse_grid(make_grid(1, 8.0, 1022)) == make_grid(1, 8.0, 511)
+        assert coarse_grid(make_grid(2, 6.0, 41)) == make_grid(2, 6.0, 20)
+        q = quotient_grid(make_grid(2, 6.0, 190), (-1, 1))
+        assert coarse_grid(q) == quotient_grid(make_grid(2, 6.0, 94), (-1, 1))
+
+    @pytest.mark.parametrize("mirror", SECTORS, ids=str)
+    def test_a_quotient_transfer_is_the_share_of_the_full_one(self, mirror):
+        # odd parity continues u antisymmetrically across the face and even
+        # parity symmetrically: the full-grid transfer of the unfolded field
+        # folds, bit for bit, to the quotient transfer, in both directions
+        dim = len(mirror)
+        fine, coarse = make_grid(dim, 5.0, 12), make_grid(dim, 5.0, 6)
+        qf, qc = quotient_grid(fine, mirror), quotient_grid(coarse, mirror)
+        assert coarse_grid(qf) == qc
+        rng = np.random.default_rng(dim)
+        for src, dst, qsrc, qdst in ((fine, coarse, qf, qc), (coarse, fine, qc, qf)):
+            u = rng.standard_normal(qsrc.npoints)
+            share = fold(dst, transfer(src, dst, unfold(qsrc, u).values), mirror)
+            assert share is not None
+            assert share.tobytes() == transfer(qsrc, qdst, u).tobytes()
+
+    def test_the_interpolant_is_zero_at_the_box_edge_and_odd_at_the_face(self):
+        src, dst = make_grid(1, 4.0, 7), make_grid(1, 4.0, 63)
+        x, last = dst.axis_coords(), src.axis_coords()[-1]
+        out = transfer(src, dst, np.ones(7))
+        edge = np.abs(x) > last
+        np.testing.assert_allclose(out[edge], (4.0 - np.abs(x[edge])) / src.spacing, rtol=1e-12)
+        qsrc, qdst = quotient_grid(make_grid(1, 4.0, 8), (-1,)), quotient_grid(make_grid(1, 4.0, 64), (-1,))
+        x, first = qdst.axis_coords(), qsrc.axis_coords()[0]
+        out = transfer(qsrc, qdst, np.ones(4))
+        face = x < first
+        np.testing.assert_allclose(out[face], x[face] / first, rtol=1e-12)
+
+    @pytest.mark.parametrize("mirror", [(), (1, 1), (-1, 1), (1, -1)], ids=str)
+    def test_exact_on_data_linear_between_nodes(self, mirror):
+        # a product of 1d data transfers to the product of their
+        # piecewise-linear interpolants
+        src, dst = make_grid(2, 3.0, 10), make_grid(2, 3.0, 38)
+        if mirror:
+            src, dst = quotient_grid(src, mirror), quotient_grid(dst, mirror)
+        rng = np.random.default_rng(7)
+        f, h = rng.standard_normal((2, src.points_per_dim))
+        expect = [
+            np.interp(dst.axis_coords(), *_interpolant_nodes(src, data, parity))
+            for data, parity in zip((f, h), mirror or (1, 1))
+        ]
+        out = transfer(src, dst, np.outer(f, h).reshape(-1))
+        np.testing.assert_allclose(out, np.outer(*expect).reshape(-1), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("mirror", [(), (1, 1), (-1, 1)], ids=str)
+    def test_error_on_a_gaussian_is_second_order(self, mirror):
+        def gaussian(g):
+            """exp(-|x|^2), times x_0 when axis 0 is odd."""
+            odd = g.coordinate_arrays()[0] if mirror[:1] == (-1,) else 1.0
+            return (odd * np.exp(-g.radius_squared())).reshape(-1)
+
+        errors = []
+        for n in (24, 48, 96):
+            g = make_grid(2, 5.0, n)
+            g = quotient_grid(g, mirror) if mirror else g
+            c = coarse_grid(g)
+            restricted = np.abs(transfer(g, c, gaussian(g)) - gaussian(c)).max()
+            prolonged = np.abs(transfer(c, g, gaussian(c)) - gaussian(g)).max()
+            errors.append(max(restricted, prolonged))
+        assert all(3.0 < a / b < 5.0 for a, b in zip(errors, errors[1:])), errors
+
+    @pytest.mark.parametrize("mirror", [(1, 1), (-1, 1)], ids=str)
+    def test_restricting_a_share_of_v_folds_the_restricted_v(self, mirror):
+        g = make_grid(2, 6.0, 40)
+        q = quotient_grid(g, mirror)
+        qc = coarse_grid(q)
+        full_coarse = make_grid(2, 6.0, qc.box_points)
+        v = (0.5 + 2.0 * g.radius_squared()).reshape(-1)
+        share = transfer(q, qc, fold(g, v, (1, 1)), (1, 1))
+        assert share.tobytes() == fold(full_coarse, transfer(g, full_coarse, v), (1, 1)).tobytes()
+
+    def test_grids_of_another_box_or_mirror_are_refused(self):
+        g = make_grid(2, 6.0, 20)
+        for other in (make_grid(2, 5.0, 10), quotient_grid(g, (1, 1)), make_grid(1, 6.0, 10)):
+            with pytest.raises(ValueError, match="one box and mirror"):
+                transfer(g, other, np.zeros(g.npoints))
 
 
 class TestMakeGrid:

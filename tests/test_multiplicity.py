@@ -241,8 +241,8 @@ class TestFindKSolutions:
         # each solved seed logs the counts of its report
         solved = sorted(m.split(": ", 1)[1] for m in messages if " solved: " in m)
         assert solved == sorted(
-            f"{rep.newton_steps} Newton steps, {rep.factorizations} step and Newton factorizations, "
-            f"{rep.discarded_trials} discarded Newton trials"
+            f"{rep.newton_steps} Newton steps, {rep.factorizations} step and Newton factorizations "
+            f"(and {rep.coarse_factorizations} on the coarse grid), {rep.discarded_trials} discarded Newton trials"
             for _, _, rep in sols
         )
         assert all(rep.newton_steps > 0 for _, _, rep in sols)

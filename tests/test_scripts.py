@@ -33,9 +33,8 @@ COMPARE_ENVS = pytest.mark.parametrize(
     "argv",
     [
         ["gausson_convergence.py", "--points", "30", "62"],
-        ["multiplicity_demo.py", "--k", "2", "--points", "62"],
     ],
-    ids=["gausson_convergence", "multiplicity_demo"],
+    ids=["gausson_convergence"],
 )
 def test_script_exits_zero(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

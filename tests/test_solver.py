@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import lse.multiplicity as multiplicity_mod
 import lse.solver as solver_mod
 from lse.energy import (
     _GRAD_REG_EPS,
@@ -20,7 +21,7 @@ from lse.energy import (
     energy_parts,
     norm_w1p,
 )
-from lse.grid import Field, _gradient_components, make_grid, norm_h1v, quotient_grid
+from lse.grid import Field, _gradient_components, coarse_grid, make_grid, norm_h1v, quotient_grid, transfer
 from lse.multiplicity import find_k_solutions, structured_seed
 from lse.solver import (
     CollapseError,
@@ -762,17 +763,19 @@ class TestNewtonFinish:
         assert res.discarded_trials == len(evaluations) - 1 - res.newton_steps
         assert (res.discarded_trials > 0) == (jacobian_scale == 0.4)
 
-    def test_acceptance_gausson_factors_seven_times(self, monkeypatch):
+    def test_acceptance_gausson_factors_five_times(self, monkeypatch):
         # the 2d acceptance Gausson (n = 190, L = 6, V = 2|x|^2 + s with the
-        # shift of the benchmark's seed 5), solved on its 95^2 quotient grid:
-        # 6 Newton factorizations and the preconditioner's, no trial thrown
-        # away, and the energy of a solve that factors at every Newton step
-        calls = []
+        # shift of the benchmark's seed 5), solved on its 95^2 quotient grid
+        # from the prolonged mountain pass of the 47^2 coarse quotient: the
+        # coarse and fine preconditioners, 3 fine Newton factorizations and 6
+        # banded coarse ones, no trial thrown away, and the energy of a solve
+        # that factors at every fine Newton step
+        sizes = []
         splu = solver_mod.spla.splu
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return splu(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return splu(a, *args, **kwargs)
 
         monkeypatch.setattr(solver_mod.spla, "splu", counted)
         g = make_grid(2, 6.0, 190)
@@ -781,8 +784,8 @@ class TestNewtonFinish:
             MountainPassConfig(), 1,
         )
         [(_, lagged_energy, lagged)] = find_k_solutions(*args)
-        assert len(calls) == 7
-        assert lagged.factorizations == 6 and lagged.discarded_trials == 0
+        assert sorted(sizes) == [47**2] + [95**2] * 4
+        assert lagged.factorizations == 3 and lagged.coarse_factorizations == 6 and lagged.discarded_trials == 0
         assert lagged.records[-1].resid_precond <= MountainPassConfig().descent_tol
         monkeypatch.setattr(solver_mod._Factorization, "lags_jacobian", False)
         [(_, fresh_energy, fresh)] = find_k_solutions(*args)
@@ -1100,3 +1103,140 @@ class TestContinueToLimit:
         assert len(stored) == len(report.records) == len(ground.trajectory)
         for i, fields in enumerate(stored):
             assert [id(f) for f in fields] == [id(ground.trajectory[i])]
+
+
+def _ray_maximum(g, potential, e, params):
+    """max over t > 0 of I_lam(t e), as ``mountain_pass`` computes it."""
+    vvals = potential.evaluate(g).values
+    factor = solver_mod._ray_peak_factor(_parts_raw(g, vvals, e, params), params)
+    return _parts_raw(g, vvals, factor * e, params).total
+
+
+class TestCoarseStart:
+    """A solve whose step operator SuperLU factors while its coarse grid's
+    is banded starts its mountain pass from the prolonged coarse one."""
+
+    @staticmethod
+    def recorded_passes(monkeypatch):
+        """(grid, seed, deflation, result) of every mountain_pass call."""
+        passes = []
+        search = solver_mod.mountain_pass
+
+        def recorded(g, *args, seed=None, deflation=(), **kwargs):
+            out = search(g, *args, seed=seed, deflation=deflation, **kwargs)
+            passes.append((g, seed, list(deflation), out))
+            return out
+
+        monkeypatch.setattr(solver_mod, "mountain_pass", recorded)
+        return passes
+
+    @pytest.fixture
+    def superlu40(self, monkeypatch):
+        """The full 2d grid of n = 40, moved to SuperLU while its coarse grid
+        (n = 20) stays banded."""
+        monkeypatch.setattr(solver_mod, "_BANDED_LIMIT", 1_000_000)
+        g = make_grid(2, 6.0, 40)
+        assert not solver_mod._banded(g) and solver_mod._banded(coarse_grid(g))
+        return g
+
+    @pytest.mark.parametrize("dim, n, half_width, k", [(1, 1022, 8.0, 4), (2, 40, 6.0, 2)])
+    def test_banded_grids_make_one_mountain_pass_per_solve(self, monkeypatch, dim, n, half_width, k):
+        passes = self.recorded_passes(monkeypatch)
+        solves = []
+        solve = multiplicity_mod.continue_to_limit
+
+        def recorded(g, *args, **kwargs):
+            out = solve(g, *args, **kwargs)
+            solves.append((g, out[1]))
+            return out
+
+        monkeypatch.setattr(multiplicity_mod, "continue_to_limit", recorded)
+        sols = find_k_solutions(
+            make_grid(dim, half_width, n), V_SHIFTED, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5),
+            MountainPassConfig(), k,
+        )
+        assert len(sols) == k and len(solves) >= k
+        assert [g for g, *_ in passes] == [g for g, _ in solves]
+        assert all(report.coarse_factorizations == 0 for _, report in solves)
+
+    def test_the_fine_mountain_pass_starts_from_the_prolonged_coarse_one(self, superlu40, monkeypatch):
+        g = superlu40
+        c = coarse_grid(g)
+        passes = self.recorded_passes(monkeypatch)
+        params = PerturbationParams(lam=1.0, p=1.5)
+        seed = structured_seed(g, 1, V_HARMONIC)
+        _, report = continue_to_limit(g, V_HARMONIC, ContinuationSchedule(), params, MountainPassConfig(), seed=seed)
+        (cg, cseed, cdefl, coarse), (fg, fseed, fdefl, fine) = passes
+        assert (cg, fg) == (c, g) and cdefl == fdefl == []
+        assert cg.points_per_dim == 20
+        assert cseed.values.tobytes() == transfer(g, c, seed.values).tobytes()
+        assert fseed.values.tobytes() == transfer(c, g, coarse.field.values).tobytes()
+        assert report.coarse_factorizations == coarse.descent.factorizations > 0
+        # m2_estimate is the ray maximum through the fine start, and it
+        # bounds every stage of this undeflated solve
+        assert report.m2_estimate == fine.path_max == _ray_maximum(g, V_HARMONIC, fseed.values, params)
+        assert all(0.0 < rec.energy <= report.m2_estimate for rec in report.records)
+
+    def test_the_coarse_owner_is_released_before_the_fine_stage(self, superlu40, monkeypatch):
+        owners = []
+        make, search = solver_mod._step_factorization, solver_mod.mountain_pass
+
+        def recorded(grid):
+            owners.append(make(grid))
+            return owners[-1]
+
+        def checked(grid, *args, **kwargs):
+            if grid == superlu40:
+                assert [type(o) for o in owners] == [solver_mod._BandedFactorization, solver_mod._Factorization]
+                assert owners[0]._lu is None
+            return search(grid, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_step_factorization", recorded)
+        monkeypatch.setattr(solver_mod, "mountain_pass", checked)
+        continue_to_limit(
+            superlu40, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig()
+        )
+        assert len(owners) == 2
+
+    def test_a_deflated_coarse_pass_holds_stage_zero_of_each_trajectory(self, superlu40, monkeypatch):
+        g = superlu40
+        sched, params, cfg = ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig()
+        _, ground = continue_to_limit(g, V_HARMONIC, sched, params, cfg)
+        passes = self.recorded_passes(monkeypatch)
+        continue_to_limit(
+            g, V_HARMONIC, sched, params, cfg, seed=structured_seed(g, 2, V_HARMONIC), trajectories=[ground.trajectory]
+        )
+        (_, _, cdefl, _), (_, _, fdefl, _) = passes
+        assert [f.values.tobytes() for f in cdefl] == [transfer(g, coarse_grid(g), ground.trajectory[0].values).tobytes()]
+        assert fdefl == [ground.trajectory[0]]
+
+    def test_a_failed_coarse_pass_leaves_the_seed_as_the_start(self, superlu40, monkeypatch):
+        passes = self.recorded_passes(monkeypatch)
+        search = solver_mod.mountain_pass
+
+        def failing(grid, *args, **kwargs):
+            if grid != superlu40:
+                raise ConvergenceFailure("coarse pass")
+            return search(grid, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "mountain_pass", failing)
+        seed = structured_seed(superlu40, 1, V_HARMONIC)
+        _, report = continue_to_limit(
+            superlu40, V_HARMONIC, ContinuationSchedule(), PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(),
+            seed=seed,
+        )
+        [(_, fseed, _, _)] = passes
+        assert fseed is seed and report.coarse_factorizations == 0
+
+    def test_m2_estimate_bounds_no_deflated_solve(self):
+        # 1d n = 254, V = 2|x|^2 + 0.5: the third and fourth solutions,
+        # deflated, have lam = 1 energies 6688.0 and 99458.9 against their
+        # ray maxima 2257.8 and 12376.3; the undeflated first is bounded
+        sols = find_k_solutions(
+            make_grid(1, 8.0, 254), Shifted(Harmonic(2.0), 0.5), ContinuationSchedule(),
+            PerturbationParams(lam=1.0, p=1.5), MountainPassConfig(), 4,
+        )
+        bounded = [all(rec.energy <= rep.m2_estimate for rec in rep.records) for _, _, rep in sols]
+        assert bounded == [True, True, False, False]
+        assert [round(rep.records[0].energy, 1) for _, _, rep in sols[2:]] == [6688.0, 99458.9]
+        assert [round(rep.m2_estimate, 1) for _, _, rep in sols[2:]] == [2257.8, 12376.3]
