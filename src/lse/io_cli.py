@@ -2,14 +2,16 @@
 
 The configuration format is flat ``key=value`` lines with ``#`` comments; the
 key set is fixed and validated eagerly so a bad run dies before any compute.
-``parse_config`` checks each value's type; the range of a grid, ``p``,
-schedule or descent key is checked by the object that owns it, which the
-``RunSpec`` method of that object builds (the one place a key maps to its
-owner's argument) and whose ValueError it reports as a ConfigError naming
-the keys.  ``run`` and ``lse verify`` build their objects through the same
-methods and share one path: ``_setup`` (grid and validated potential, or
-``FAIL config``), ``_run_checks`` and ``_failed_gate`` (``FAIL verify``),
-so a config defect fails both commands at the same stage with one line.
+``parse_config`` parses each value by the type its ``RunSpec`` field
+declares, in field order, and checks the two ranges no object owns
+(``_MINIMUM``); the range of a grid, ``p``, schedule or descent key is
+checked by the object that owns it, which the ``RunSpec`` method of that
+object builds (the one place a key maps to its owner's argument) and whose
+ValueError it reports as a ConfigError naming the keys.  ``run`` and ``lse
+verify`` build their objects through the same methods and share one path:
+``_setup`` (grid and validated potential, or ``FAIL config``),
+``_run_checks`` and ``_failed_gate`` (``FAIL verify``), so a config defect
+fails both commands at the same stage with one line.
 
 Every stage fails through one channel.  A failed stage raises ``_Failure``
 with its stage and detail; ``_stage(name, *expected)`` turns the exceptions
@@ -90,7 +92,8 @@ class RunSpec:
     """Fully validated run description, as ``parse_config`` returns it:
     each field satisfies the preconditions of the object that owns it.
     The methods below build those objects, the one place a key maps to
-    its owner's argument."""
+    its owner's argument; each field's annotation is the type
+    ``parse_config`` reads its key as."""
 
     dim: int
     half_width: float
@@ -128,13 +131,17 @@ class RunSpec:
 _CONFIG_KEYS = tuple(f.name for f in fields(RunSpec))
 
 
-def _parse_int(key: str, raw: str, minimum: int | None = None) -> int:
+#: Least values of the integer keys whose range no owner checks.
+_MINIMUM = {"k_solutions": 1, "rng_seed": 0}
+
+
+def _parse_int(key: str, raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"key {key!r}: must be >= {minimum}, got {value}")
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ConfigError(f"key {key!r}: must be >= {_MINIMUM[key]}, got {value}")
     return value
 
 
@@ -146,6 +153,10 @@ def _parse_float(key: str, raw: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
     return value
+
+
+#: The parser of each ``RunSpec`` field's declared type, but ``emit``'s.
+_PARSERS = {"int": _parse_int, "float": _parse_float, "str": lambda key, raw: raw}
 
 
 def _check_owned(keys: tuple[str, ...], owner) -> None:
@@ -217,19 +228,7 @@ def parse_config(text: str) -> RunSpec:
 
     emit = [token.strip() for token in values["emit"].split(",")] if values["emit"] else []
     spec = RunSpec(
-        dim=_parse_int("dim", values["dim"]),
-        half_width=_parse_float("half_width", values["half_width"]),
-        points=_parse_int("points", values["points"]),
-        potential=values["potential"],
-        p=_parse_float("p", values["p"]),
-        lambda_start=_parse_float("lambda_start", values["lambda_start"]),
-        lambda_ratio=_parse_float("lambda_ratio", values["lambda_ratio"]),
-        lambda_min=_parse_float("lambda_min", values["lambda_min"]),
-        tol_grad=_parse_float("tol_grad", values["tol_grad"]),
-        max_outer=_parse_int("max_outer", values["max_outer"]),
-        k_solutions=_parse_int("k_solutions", values["k_solutions"], minimum=1),
-        rng_seed=_parse_int("rng_seed", values["rng_seed"], minimum=0),
-        output_dir=values["output_dir"],
+        **{f.name: _PARSERS[f.type](f.name, values[f.name]) for f in fields(RunSpec) if f.name != "emit"},
         emit=frozenset(emit),
     )
     _check_owned(("dim", "half_width", "points"), spec.grid)

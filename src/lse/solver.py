@@ -42,7 +42,8 @@ a critical point it converges in a few steps whatever the Morse index, so
 it needs neither the ray rescale nor the deflation span; warm-started lam
 stages typically start there.  One budget, cfg.max_outer, counts both
 kinds of step, and a mass integral below the constant ``_MASS_FLOOR``
-stops any descent as collapsed.
+stops any descent as collapsed; ``continue_to_limit`` rejects a limit
+below it as trivial.
 On SuperLU grids a Newton Jacobian factor is kept for chord steps, across
 iterates and lam stages alike, while they contract the residual by
 ``_CHORD_THETA`` or reach the descent tolerance; after a slower kept chord
@@ -694,7 +695,8 @@ def _newton_polish(
 # configs; from 3 up the factorization counts of the 2d and sweep
 # workloads level off.
 _NEWTON_RESID = 3.0
-# Mass integral below which ``descend`` reports a collapse to zero.
+# Mass integral below which ``descend`` reports a collapse to zero and
+# ``continue_to_limit`` rejects its limit as trivial.
 _MASS_FLOOR = 1e-8
 
 
@@ -908,7 +910,8 @@ def continue_to_limit(
     start, a final lam = 0 solve last), so of ``params`` only ``p`` is read.
     When g's step owner is SuperLU and its coarse grid's is banded, the
     mountain pass starts from ``_coarse_start``.
-    Raises CollapseError if the limit field is trivial (mass below 1e-6).
+    Raises CollapseError if the limit field is trivial (mass below
+    ``_MASS_FLOOR``).
     """
     validate_potential(g, potential)
     if precond is None:
@@ -949,6 +952,6 @@ def continue_to_limit(
         lu.release()
 
     mass = report.records[-1].mass
-    if mass < 1e-6:
-        raise CollapseError(f"trivial limit: mass integral {mass:.3e} below 1e-6 (run rejected)")
+    if mass < _MASS_FLOOR:
+        raise CollapseError(f"trivial limit: mass integral {mass:.3e} below _MASS_FLOOR={_MASS_FLOOR:g} (run rejected)")
     return report.trajectory[-1], report

@@ -22,8 +22,10 @@ The seventh, ``geometry``, probes the perturbed functional near 0 rather
 than a solution, and the CLI does not run it.
 
 ``gradient_fd`` hands its trials to the batched energy kernels in chunks
-of at most ``_BATCH_VALUES`` shifted values per call, and one field per
-call on grids where a single trial exceeds that.
+of m = max(1, ``_BATCH_VALUES`` // 2N) trials: one call on the m plus
+fields and one on the m minus fields, so a chunk holds at most
+``_BATCH_VALUES`` shifted values, or one trial's 2N on a grid where a
+single trial exceeds that.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ __all__ = [
 # headroom (worst defect 5.0e-9 vs the 1e-6 threshold).
 _FD_DEFAULT_SEED = 9
 _FD_EPS = 1e-5
-# Values per kernel call of the gradient check: its trials go to the energy
-# kernels in chunks whose 2m shifted fields hold at most this many values.
-# On small grids one call per chunk saves the per-call overhead that
-# dominates them; the cap bounds the memory a chunk adds (a 2d 190^2 grid,
-# where one trial alone exceeds it, is evaluated one field per call).
+# Shifted values per chunk of the gradient check: its trials go to the
+# energy kernels in chunks whose 2m shifted fields hold at most this many
+# values, and at least one trial.  On small grids a few calls per chunk save
+# the per-call overhead that dominates them; the cap bounds the memory a
+# chunk adds (a chunk of a 2d 190^2 grid, where one trial alone exceeds it,
+# holds one trial).
 _BATCH_VALUES = 8192
 
 
@@ -255,10 +258,9 @@ def _fd_defects(g: Grid, vvals: np.ndarray, params: PerturbationParams, trials: 
     """The defect of each trial of ``check_gradient_fd``, in order, with u
     and then phi drawn per trial.
 
-    Trials come in chunks of m = ``_BATCH_VALUES`` // 2N, whose fields are
-    drawn when the chunk starts: one gradient call on the m fields and one
-    energy call on the 2m shifted fields.  Where one trial's 2N values
-    exceed the cap, each field goes to the kernels alone, unstacked.
+    Trials come in chunks of m = max(1, ``_BATCH_VALUES`` // 2N), whose
+    fields are drawn when the chunk starts: one gradient call on the m
+    fields and one energy call on each sign of the m shifted fields.
     """
 
     def defect(grad, phi, e_plus, e_minus) -> float:
@@ -267,18 +269,12 @@ def _fd_defects(g: Grid, vvals: np.ndarray, params: PerturbationParams, trials: 
         return abs(pair - quotient) / (1.0 + abs(quotient))
 
     n = g.npoints
-    per_call = _BATCH_VALUES // (2 * n)
-    if per_call == 0:
-        for _ in range(trials):
-            u, phi = rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n)
-            e_plus = _parts_raw(g, vvals, u + _FD_EPS * phi, params).total
-            e_minus = _parts_raw(g, vvals, u - _FD_EPS * phi, params).total
-            yield defect(_gradient_raw(g, vvals, u, params), phi, e_plus, e_minus)
-        return
-    for first in range(0, trials, per_call):
-        m = min(per_call, trials - first)
+    per_chunk = max(1, _BATCH_VALUES // (2 * n))
+    for first in range(0, trials, per_chunk):
+        m = min(per_chunk, trials - first)
         u, phi = np.empty((m, n)), np.empty((m, n))
         for i in range(m):
             u[i], phi[i] = rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n)
-        energies = _parts_raw(g, vvals, np.concatenate((u + _FD_EPS * phi, u - _FD_EPS * phi)), params).total
-        yield from map(defect, _gradient_raw(g, vvals, u, params), phi, energies[:m], energies[m:])
+        e_plus = _parts_raw(g, vvals, u + _FD_EPS * phi, params).total
+        e_minus = _parts_raw(g, vvals, u - _FD_EPS * phi, params).total
+        yield from map(defect, _gradient_raw(g, vvals, u, params), phi, e_plus, e_minus)

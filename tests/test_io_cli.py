@@ -141,6 +141,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             parse_config(config_text(**{key: value}))
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"dim": "x", "p": "x"}, "key 'dim': expected an integer, got 'x'"),
+            ({"k_solutions": "0", "rng_seed": "x"}, "key 'k_solutions': must be >= 1, got 0"),
+            # every value is read by its type before any owner checks a range
+            ({"points": "2", "rng_seed": "x"}, "key 'rng_seed': expected an integer, got 'x'"),
+        ],
+    )
+    def test_first_bad_key_in_field_order_is_reported(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_text(**overrides))
+        assert str(info.value) == message
+
     def test_bad_emit_token(self):
         with pytest.raises(ConfigError, match="unknown target 'movies'"):
             parse_config(config_text(emit="fields,movies"))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +13,11 @@ import scipy.sparse.linalg
 
 import lse.multiplicity as multiplicity_mod
 import lse.solver as solver_mod
-from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated
-from lse.grid import Field, _h1v_raw, _integral, make_grid, norm_h1v
+from lse.energy import Harmonic, PerturbationParams, Shifted, Tabulated, energy_parts
+from lse.grid import Field, _h1v_raw, _integral, fold, make_grid, norm_h1v, quotient_grid
 from lse.multiplicity import find_k_solutions, structured_seed
 from lse.solver import ContinuationSchedule, MountainPassConfig, continue_to_limit
+from lse.verify import check_energy_identity, check_linf, check_nehari
 
 V_HARMONIC = Harmonic(2.0)
 V_SHIFTED = Shifted(Harmonic(2.0), 1.0)
@@ -385,3 +389,95 @@ class TestLimitInvariance:
             runs.append(self.energies(g, sched=sched, k=k))
         for energies in runs:
             assert energies == pytest.approx(reference, rel=1e-10)
+
+
+def _separable(a: float, s: float):
+    """V = a |x|^2 + s."""
+    return Harmonic(a) if s == 0.0 else Shifted(Harmonic(a), s)
+
+
+@functools.cache
+def _ladder(points: int, half_width: float, a: float, s: float) -> tuple[tuple[np.ndarray, float], ...]:
+    """The three lowest 1d states of v = a x^2 + s at p = 1.3, as (values,
+    energy) pairs in energy order."""
+    found = find_k_solutions(
+        make_grid(1, half_width, points), _separable(a, s), ContinuationSchedule(),
+        PerturbationParams(lam=1.0, p=1.3), MountainPassConfig(), 3,
+    )
+    assert len(found) == 3
+    return tuple((u.values, energy) for u, energy, _ in found)
+
+
+class TestProductStates:
+    """On a separable V = sum_d (a x_d^2 + s/N), the product of 1d states
+    u_alpha = prod_d u_{alpha_d}(x_d) of v = a x^2 + s/N is a lam = 0 state
+    of the N-d grid: the logarithm turns the product into a sum, and the
+    grid Laplacian is a Kronecker sum on full and quotient grids alike.  A
+    lam = 0 critical point's energy is half its mass, which factorizes, so
+    E_alpha = 2^(N-1) prod_d E_{alpha_d}, that is 2^(N-1) e^s prod_d E of the
+    unshifted v.  This is an exact oracle for N-d ``find_k_solutions`` that costs
+    three 1d solves."""
+
+    P0 = PerturbationParams(lam=0.0, p=1.3)
+
+    # (dim, half width, n, a, s, quotient, products above the linf cap):
+    # the separable potentials of scripts/multiplicity_scan.py, harmonic:2.0
+    # and shifted:harmonic:0.7:0.3, on its 2d and 3d boxes at even and odd n
+    CASES = [
+        (dim, half_width, n, a, s, quotient, capped)
+        for dim, half_width, n, a, s, capped in [
+            (2, 6.0, 40, 2.0, 0.0, 1),
+            (2, 6.0, 40, 0.7, 0.3, 0),
+            (2, 6.0, 41, 0.7, 0.3, 0),
+            (3, 5.0, 16, 2.0, 0.0, 10),
+            (3, 5.0, 16, 0.7, 0.3, 1),
+            (3, 5.0, 17, 0.7, 0.3, 1),
+        ]
+        for quotient in ((False, True) if n % 2 == 0 else (False,))
+    ]
+
+    @pytest.mark.parametrize("dim, half_width, points, a, s, quotient, capped", CASES)
+    def test_products_of_1d_states_are_states(self, dim, half_width, points, a, s, quotient, capped):
+        g = make_grid(dim, half_width, points)
+        potential = _separable(a, s)
+        states = _ladder(points, half_width, a, s / dim)
+        share = fold(g, potential.evaluate(g).values, (1,) * dim)
+        above_cap = []
+        for alpha in itertools.product(range(3), repeat=dim):
+            u = functools.reduce(np.multiply.outer, [states[i][0] for i in alpha]).reshape(-1)
+            # valid states whose peak fails the amplitude gate of lse solve
+            if not check_linf(Field(grid=g, values=u)).passed:
+                above_cap.append(alpha)
+                continue
+            sg, sv = g, potential
+            if quotient:
+                parity = tuple((-1) ** i for i in alpha)
+                sg = quotient_grid(g, parity)
+                sv = Tabulated(values=Field(grid=sg, values=share))
+                u = fold(g, u, parity)
+            field = Field(grid=sg, values=u)
+            assert check_nehari(sg, sv, field).passed, alpha
+            assert check_energy_identity(sg, sv, field, self.P0).passed, alpha
+            want = 2.0 ** (dim - 1) * math.prod(states[i][1] for i in alpha)
+            assert energy_parts(sg, sv, field, self.P0).total == pytest.approx(want, rel=1e-12), alpha
+        assert len(above_cap) == capped
+
+    @pytest.mark.parametrize(
+        "dim, half_width, points, energies",
+        [
+            (2, 6.0, 40, [41.04958131318686, 909.550684120416, 16796.371848455165]),
+            (3, 5.0, 16, [299.41250886791636, 5950.456004541113, 90502.77846171963]),
+        ],
+    )
+    def test_k3_scan_lines_are_the_axis_zero_products(self, dim, half_width, points, energies):
+        # the harmonic:2.0, p = 1.3, k = 3 lines of the scan find (0,...,0),
+        # (1,0,...,0) and (2,0,...,0)
+        found = find_k_solutions(
+            make_grid(dim, half_width, points), V_HARMONIC, ContinuationSchedule(),
+            PerturbationParams(lam=1.0, p=1.3), MountainPassConfig(), 3,
+        )
+        found = [energy for _, energy, _ in found]
+        assert found == pytest.approx(energies, rel=1e-12)
+        states = _ladder(points, half_width, 2.0, 0.0)
+        products = [2.0 ** (dim - 1) * states[j][1] * states[0][1] ** (dim - 1) for j in range(3)]
+        assert found == pytest.approx(products, rel=1e-12)
